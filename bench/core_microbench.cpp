@@ -6,19 +6,15 @@
  * harnesses stress — channel completion cascades at high concurrency
  * and raw event-queue throughput — and writes
  * bench_results/BENCH_core.json so future PRs can track the perf
- * trajectory. A faithful copy of the seed's O(n)-per-event channel
- * (linear scan over a std::map of active transfers) runs the same
- * workloads as the reference, giving a before/after speedup without
- * checking out old revisions.
+ * trajectory. Every channel run must progress exactly the bytes its
+ * transfers began.
  *
- * The ns/event series over 100 -> 10k concurrent transfers is the
+ * The ns/event series over 16 -> 10k concurrent transfers is the
  * asymptotic check: the GPS virtual-time channel should stay near-flat
- * (O(log n)) where the legacy channel grows linearly.
+ * (O(log n)).
  */
 
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,128 +26,6 @@ using namespace themis;
 
 namespace {
 
-/**
- * The seed implementation of the processor-sharing channel, kept as
- * the benchmark reference: advanceTo / reschedule / the completion
- * scan all iterate every active transfer.
- */
-class LegacyChannel
-{
-  public:
-    using Callback = std::function<void()>;
-
-    LegacyChannel(sim::EventQueue& queue, Bandwidth capacity)
-        : queue_(queue), capacity_(capacity),
-          last_update_(queue.now())
-    {
-    }
-
-    void
-    begin(Bytes bytes, Callback on_done)
-    {
-        advanceTo(queue_.now());
-        active_.emplace(next_id_++, Transfer{bytes, std::move(on_done)});
-        if (active_.size() > peak_active_)
-            peak_active_ = active_.size();
-        reschedule();
-    }
-
-    Bytes progressedBytes() const { return progressed_bytes_; }
-    std::size_t peakActiveCount() const { return peak_active_; }
-
-  private:
-    struct Transfer
-    {
-        Bytes remaining;
-        Callback on_done;
-    };
-
-    static constexpr Bytes kDrainEps = 1e-6;
-    static constexpr TimeNs kTimeSliver = 1e-3;
-
-    void
-    advanceTo(TimeNs t)
-    {
-        const TimeNs dt = t - last_update_;
-        last_update_ = t;
-        if (dt <= 0.0 || active_.empty())
-            return;
-        const double rate =
-            capacity_ / static_cast<double>(active_.size());
-        for (auto& [id, transfer] : active_) {
-            const Bytes progress = transfer.remaining < rate * dt
-                                       ? transfer.remaining
-                                       : rate * dt;
-            transfer.remaining -= progress;
-            progressed_bytes_ += progress;
-        }
-    }
-
-    void
-    reschedule()
-    {
-        if (pending_event_ != 0) {
-            queue_.cancel(pending_event_);
-            pending_event_ = 0;
-        }
-        if (active_.empty())
-            return;
-        Bytes min_remaining = -1.0;
-        for (const auto& [id, transfer] : active_) {
-            if (min_remaining < 0.0 ||
-                transfer.remaining < min_remaining)
-                min_remaining = transfer.remaining;
-        }
-        const double rate =
-            capacity_ / static_cast<double>(active_.size());
-        const TimeNs eta =
-            min_remaining <= kDrainEps ? 0.0 : min_remaining / rate;
-        pending_event_ =
-            queue_.scheduleAfter(eta, [this] { onCompletionEvent(); });
-    }
-
-    void
-    onCompletionEvent()
-    {
-        pending_event_ = 0;
-        advanceTo(queue_.now());
-        Bytes threshold = kDrainEps;
-        Bytes min_remaining = -1.0;
-        for (const auto& [id, transfer] : active_) {
-            if (min_remaining < 0.0 ||
-                transfer.remaining < min_remaining)
-                min_remaining = transfer.remaining;
-        }
-        if (min_remaining > threshold &&
-            min_remaining / capacity_ < kTimeSliver) {
-            threshold = min_remaining;
-        }
-        std::vector<Callback> done;
-        for (auto it = active_.begin(); it != active_.end();) {
-            if (it->second.remaining <= threshold) {
-                progressed_bytes_ += it->second.remaining;
-                done.push_back(std::move(it->second.on_done));
-                it = active_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        for (auto& cb : done)
-            cb();
-        if (pending_event_ == 0)
-            reschedule();
-    }
-
-    sim::EventQueue& queue_;
-    Bandwidth capacity_;
-    std::map<std::uint64_t, Transfer> active_;
-    std::uint64_t next_id_ = 1;
-    TimeNs last_update_ = 0.0;
-    sim::EventQueue::EventId pending_event_ = 0;
-    Bytes progressed_bytes_ = 0.0;
-    std::size_t peak_active_ = 0;
-};
-
 struct Measurement
 {
     std::string impl;
@@ -161,7 +35,6 @@ struct Measurement
     double ns_per_event = 0.0;
     double events_per_sec = 0.0;
     std::size_t peak_active = 0;
-    Bytes progressed = 0.0;
 };
 
 /**
@@ -170,27 +43,33 @@ struct Measurement
  * event count is ~n, making wall/events the per-event cost at that
  * concurrency level.
  */
-template <typename Channel>
 Measurement
-runChannelWorkload(const char* impl, int n)
+runChannelWorkload(int n)
 {
     Measurement best;
     for (int rep = 0; rep < 3; ++rep) {
         sim::EventQueue queue;
-        Channel channel(queue, 100.0);
+        sim::SharedChannel channel(queue, 100.0);
         int completions = 0;
+        Bytes begun = 0.0;
         const double t0 = bench::nowNs();
         for (int i = 0; i < n; ++i) {
-            channel.begin(1000.0 * (i + 1),
-                          [&completions] { ++completions; });
+            const Bytes bytes = 1000.0 * (i + 1);
+            begun += bytes;
+            channel.begin(bytes, [&completions] { ++completions; });
         }
         const std::size_t events = queue.run();
         const double wall = bench::nowNs() - t0;
         if (completions != n)
             THEMIS_PANIC("lost completions: " << completions << "/"
                                               << n);
+        channel.sync();
+        THEMIS_ASSERT(channel.progressedBytes() == begun,
+                      "channel progressed " << channel.progressedBytes()
+                                            << " of " << begun
+                                            << " bytes begun at n=" << n);
         if (rep == 0 || wall < best.wall_ns) {
-            best.impl = impl;
+            best.impl = "gps";
             best.transfers = n;
             best.events = events;
             best.wall_ns = wall;
@@ -199,7 +78,6 @@ runChannelWorkload(const char* impl, int n)
             best.events_per_sec =
                 static_cast<double>(events) / (wall * 1e-9);
             best.peak_active = channel.peakActiveCount();
-            best.progressed = channel.progressedBytes();
         }
     }
     return best;
@@ -256,7 +134,7 @@ int
 main()
 {
     bench::printHeader(
-        "Simulator-core microbenchmark (GPS channel vs seed O(n) scan)",
+        "Simulator-core microbenchmark (GPS channel, event queue)",
         "perf infrastructure (BENCH_core.json)");
 
     // n=16 sits exactly at the channel's inline finish-heap capacity:
@@ -264,32 +142,17 @@ main()
     // a single pending-set heap allocation, so this row tracks the
     // small-vector fast path; the larger scales track the asymptote.
     const std::vector<int> scales{16, 100, 1000, 10000};
-    std::vector<Measurement> gps, legacy;
-    for (int n : scales) {
-        gps.push_back(
-            runChannelWorkload<sim::SharedChannel>("gps", n));
-        legacy.push_back(runChannelWorkload<LegacyChannel>("legacy", n));
-        const double conservation_gap =
-            std::abs(gps.back().progressed - legacy.back().progressed);
-        THEMIS_ASSERT(conservation_gap < 1.0,
-                      "GPS/legacy byte accounting diverged by "
-                          << conservation_gap << " bytes at n=" << n);
-    }
+    std::vector<Measurement> gps;
+    for (int n : scales)
+        gps.push_back(runChannelWorkload(n));
     const Measurement queue_run = runQueueWorkload(200000);
 
-    stats::TextTable t({"Concurrent transfers", "legacy ns/event",
-                        "GPS ns/event", "speedup", "peak active"});
-    double speedup_1k = 0.0;
-    for (std::size_t i = 0; i < scales.size(); ++i) {
-        const double speedup = legacy[i].wall_ns / gps[i].wall_ns;
-        if (scales[i] == 1000)
-            speedup_1k = speedup;
-        t.addRow({std::to_string(scales[i]),
-                  fmtDouble(legacy[i].ns_per_event, 1),
-                  fmtDouble(gps[i].ns_per_event, 1),
-                  fmtDouble(speedup, 2) + "x",
-                  std::to_string(gps[i].peak_active)});
-    }
+    stats::TextTable t({"Concurrent transfers", "GPS ns/event",
+                        "events", "peak active"});
+    for (const Measurement& m : gps)
+        t.addRow({std::to_string(m.transfers),
+                  fmtDouble(m.ns_per_event, 1), std::to_string(m.events),
+                  std::to_string(m.peak_active)});
     std::printf("%s\n", t.render().c_str());
     std::printf("event queue: %.0f events/sec (%.1f ns/event, "
                 "%zu events)\n\n",
@@ -299,23 +162,16 @@ main()
     std::string json = "{\n  \"bench\": \"core_microbench\",\n";
     json += "  \"channel\": [\n";
     for (std::size_t i = 0; i < gps.size(); ++i)
-        appendJson(json, gps[i], false);
-    for (std::size_t i = 0; i < legacy.size(); ++i)
-        appendJson(json, legacy[i], i + 1 == legacy.size());
+        appendJson(json, gps[i], i + 1 == gps.size());
     json += "  ],\n  \"event_queue\": [\n";
     appendJson(json, queue_run, true);
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "  ],\n  \"speedup_1k_transfers\": %.2f\n}\n",
-                  speedup_1k);
-    json += buf;
+    json += "  ]\n}\n";
 
     const std::string path = bench::resultPath("BENCH_core.json");
     std::FILE* f = std::fopen(path.c_str(), "w");
     THEMIS_ASSERT(f != nullptr, "cannot write " << path);
     std::fputs(json.c_str(), f);
     std::fclose(f);
-    std::printf("wrote %s (speedup at 1k transfers: %.2fx)\n",
-                path.c_str(), speedup_1k);
+    std::printf("wrote %s\n", path.c_str());
     return 0;
 }

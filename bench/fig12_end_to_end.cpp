@@ -15,27 +15,29 @@
  * normalized decomposition is identical).
  *
  * The whole workload x topology x method grid fans across the sweep
- * harness, and runs twice in this binary: once with this repo's sweep
- * optimizations (shared plan cache, calendar event front end, indexed
- * engine selection, weighted-GPS channels) and once with them
- * disabled (cache-off, heap-only event queue, legacy linear selection
- * scan, pre-priority egalitarian channels). Both passes produce
- * bit-identical simulation results — which doubles as the
- * weighted-vs-egalitarian dataplane equivalence check under the
- * default uniform priority policy; the wall-clock ratio is the
+ * harness with one shared plan cache. The run's wall clock is the
  * end-to-end sweep-throughput number tracked per PR in
- * bench_results/BENCH_e2e.json.
+ * bench_results/BENCH_e2e.json, and the grid's results must hash to
+ * the pinned digest (tests/golden_test.cpp pins the same value).
  */
 
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/hash.hpp"
 #include "models/model_zoo.hpp"
 #include "workload/training_loop.hpp"
 
 using namespace themis;
 
 namespace {
+
+/**
+ * FNV-1a over the five IterationBreakdown fields of every cell, in
+ * grid order. A change that only speeds the simulator up must leave
+ * it as is.
+ */
+constexpr std::uint64_t kGridDigest = 0xee2cfa05ca84f849ULL;
 
 /** Zero-latency 1-dim platform pooling all of @p topo's bandwidth. */
 Topology
@@ -71,7 +73,7 @@ struct GridDef
     }
 };
 
-struct ModeRun
+struct GridRun
 {
     std::vector<workload::IterationBreakdown> results;
     double wall_ms = 0.0;
@@ -81,26 +83,18 @@ struct ModeRun
     std::size_t cached_plans = 0;
 };
 
-/**
- * Simulate every grid cell across the sweep workers. @p optimized
- * selects this PR's sweep path (shared plan cache + calendar front
- * end + indexed engine selection) vs. the measurement baseline
- * (cache-off, heap-only, legacy scan).
- */
-ModeRun
-runGridMode(const GridDef& grid, bool optimized, int threads)
+/** Simulate every grid cell across the sweep workers. */
+GridRun
+runGrid(const GridDef& grid)
 {
     PlanCache cache; // shared read-mostly across all workers
     sim::SweepOptions opts;
-    opts.threads = threads;
-    opts.front_end = optimized ? sim::EventFrontEnd::Calendar
-                               : sim::EventFrontEnd::Heap;
     // Pin the resolved worker count into the options so the reported
     // number is, by construction, the one the sweep runs with.
     opts.threads = sim::SweepRunner(opts).threads();
     const std::size_t per_workload =
         grid.topologies.size() * grid.methods.size();
-    ModeRun out;
+    GridRun out;
     const double t0 = bench::nowNs();
     out.results = sim::sweepIndexed(
         grid.cellCount(),
@@ -111,9 +105,7 @@ runGridMode(const GridDef& grid, bool optimized, int threads)
             const std::size_t m = i % grid.methods.size();
             const MethodDef& method = grid.methods[m];
             runtime::RuntimeConfig cfg = method.config;
-            cfg.plan_cache = optimized ? &cache : nullptr;
-            cfg.legacy_engine_scan = !optimized;
-            cfg.legacy_egalitarian_channel = !optimized;
+            cfg.plan_cache = &cache;
             const Topology& topo = method.on_ideal_topology
                                        ? grid.ideal_topologies[t]
                                        : grid.topologies[t];
@@ -151,18 +143,18 @@ main()
                     {"Themis+SCF", runtime::themisScfConfig(), false},
                     {"Ideal", runtime::themisScfConfig(), true}};
 
-    // Optimized pass first: the baseline pass then runs on the warmer
-    // CPU, biasing the reported speedup down, not up.
-    const ModeRun optimized = runGridMode(grid, true, 0);
-    const ModeRun baseline = runGridMode(grid, false, 0);
-
-    bool identical = optimized.results.size() == baseline.results.size();
-    for (std::size_t i = 0; identical && i < optimized.results.size();
-         ++i)
-        identical = workload::bitIdentical(optimized.results[i],
-                                           baseline.results[i]);
-    THEMIS_ASSERT(identical,
-                  "optimized and baseline sweep modes diverged");
+    const GridRun run = runGrid(grid);
+    Fnv1a digest;
+    for (const auto& it : run.results) {
+        digest.mix(it.fwd_compute);
+        digest.mix(it.bwd_compute);
+        digest.mix(it.exposed_mp);
+        digest.mix(it.exposed_dp);
+        digest.mix(it.total);
+    }
+    THEMIS_ASSERT(digest.value() == kGridDigest,
+                  "grid digest " << std::hex << digest.value()
+                                 << " != pinned " << kGridDigest);
 
     stats::CsvWriter csv(bench::csvPath("fig12_end_to_end"));
     csv.writeRow({"workload", "topology", "method", "fwd_compute",
@@ -184,9 +176,9 @@ main()
             const Topology& topo = grid.topologies[ti];
             const std::size_t cell0 =
                 w * per_workload + ti * grid.methods.size();
-            const auto& base = optimized.results[cell0];
-            const auto& scf = optimized.results[cell0 + 1];
-            const auto& ideal = optimized.results[cell0 + 2];
+            const auto& base = run.results[cell0];
+            const auto& scf = run.results[cell0 + 1];
+            const auto& ideal = run.results[cell0 + 2];
 
             struct RowDef
             {
@@ -225,60 +217,35 @@ main()
                     ideal_sum / cells);
     }
 
-    const double speedup = baseline.wall_ms / optimized.wall_ms;
-    std::printf("sweep throughput (%zu cells, %d worker threads):\n",
-                grid.cellCount(), optimized.threads);
-    std::printf("  baseline  (cache-off, heap, legacy scan): %8.1f ms "
-                "(%6.1f cells/sec)\n",
-                baseline.wall_ms, baseline.cells_per_sec);
-    std::printf("  optimized (plan cache, calendar, indexed): %8.1f ms "
-                "(%6.1f cells/sec)\n",
-                optimized.wall_ms, optimized.cells_per_sec);
-    std::printf("  speedup: %.2fx, results bit-identical, plan cache: "
-                "%zu plans, %llu hits / %llu misses\n",
-                speedup, optimized.cached_plans,
+    std::printf("sweep throughput (%zu cells, %d worker threads): "
+                "%.1f ms (%.1f cells/sec), grid digest %#llx, plan "
+                "cache: %zu plans, %llu hits / %llu misses\n",
+                grid.cellCount(), run.threads, run.wall_ms,
+                run.cells_per_sec,
+                static_cast<unsigned long long>(digest.value()),
+                run.cached_plans,
+                static_cast<unsigned long long>(run.cache_stats.plan_hits),
                 static_cast<unsigned long long>(
-                    optimized.cache_stats.plan_hits),
-                static_cast<unsigned long long>(
-                    optimized.cache_stats.plan_misses));
+                    run.cache_stats.plan_misses));
 
     char buf[1024];
-    std::string json = "{\n  \"bench\": \"fig12_e2e\",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"grid\": {\"workloads\": %zu, \"topologies\": "
-                  "%zu, \"methods\": %zu, \"cells\": %zu},\n"
-                  "  \"threads\": %d,\n  \"modes\": [\n",
-                  grid.workloads.size(), grid.topologies.size(),
-                  grid.methods.size(), grid.cellCount(),
-                  optimized.threads);
-    json += buf;
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"mode\": \"baseline\", \"plan_cache\": false, "
-        "\"event_front_end\": \"heap\", \"engine_selection\": "
-        "\"legacy-scan\", \"wall_ms\": %.1f, \"cells_per_sec\": "
-        "%.2f},\n",
-        baseline.wall_ms, baseline.cells_per_sec);
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"mode\": \"optimized\", \"plan_cache\": true, "
-        "\"event_front_end\": \"calendar\", \"engine_selection\": "
-        "\"indexed\", \"wall_ms\": %.1f, \"cells_per_sec\": %.2f}\n"
-        "  ],\n",
-        optimized.wall_ms, optimized.cells_per_sec);
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"speedup\": %.2f,\n  \"bit_identical\": %s,\n"
+        "{\n  \"bench\": \"fig12_e2e\",\n"
+        "  \"grid\": {\"workloads\": %zu, \"topologies\": %zu, "
+        "\"methods\": %zu, \"cells\": %zu},\n"
+        "  \"threads\": %d,\n  \"wall_ms\": %.1f,\n"
+        "  \"cells_per_sec\": %.2f,\n  \"digest\": \"%016llx\",\n"
         "  \"plan_cache\": {\"plans\": %zu, \"hits\": %llu, "
         "\"misses\": %llu}\n}\n",
-        speedup, identical ? "true" : "false", optimized.cached_plans,
-        static_cast<unsigned long long>(
-            optimized.cache_stats.plan_hits),
-        static_cast<unsigned long long>(
-            optimized.cache_stats.plan_misses));
-    json += buf;
+        grid.workloads.size(), grid.topologies.size(),
+        grid.methods.size(), grid.cellCount(), run.threads, run.wall_ms,
+        run.cells_per_sec,
+        static_cast<unsigned long long>(digest.value()),
+        run.cached_plans,
+        static_cast<unsigned long long>(run.cache_stats.plan_hits),
+        static_cast<unsigned long long>(run.cache_stats.plan_misses));
+    const std::string json = buf;
 
     const std::string path = bench::resultPath("BENCH_e2e.json");
     std::FILE* f = std::fopen(path.c_str(), "w");

@@ -14,8 +14,7 @@
  * shared across workers). Every cell uses tiered(ratio) — ratio 1
  * separates the classes at unit weights, so the ratio axis isolates
  * the *GPS weight* effect with ready-set tier precedence held
- * constant (the fig12 harness covers weighted-vs-egalitarian
- * equivalence; this grid measures what the weights buy). As the
+ * constant (this grid measures what the weights buy). As the
  * ratio grows, the urgent tenant's mean collective completion time
  * must improve while the aggregate bytes moved stay conserved (every
  * cell completes the same total traffic; the weights only

@@ -55,7 +55,8 @@
  *                         All-Reduces (weight 1) under the
  *                         priority-aware Themis scheduler, with
  *                         per-class utilization and slowdown columns
- *                         (W = 1 is the egalitarian baseline)
+ *                         (W = 1 shares bandwidth equally; W must
+ *                         be a finite number >= 1)
  *     --iterations N      multi-iteration convergence run of --model
  *                         on --topo through the steady-state replay
  *                         engine (identical iterations are detected
@@ -201,6 +202,24 @@ usage(const char* argv0)
                  "          [--report PATH] [--trace PATH]\n",
                  argv0);
     std::exit(2);
+}
+
+/**
+ * Value of a weight-ratio flag (--priority, --tier-ratio), checked by
+ * PriorityPolicy::tiered so the CLI accepts exactly the ratios the
+ * policy does.
+ */
+double
+ratioFlag(const char* flag, const std::string& value)
+{
+    const double ratio = std::atof(value.c_str());
+    try {
+        PriorityPolicy::tiered(ratio);
+    } catch (const ConfigError& e) {
+        std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
+        std::exit(1);
+    }
+    return ratio;
 }
 
 Topology
@@ -717,9 +736,7 @@ main(int argc, char** argv)
         } else if (flag == "--grid") {
             grid_arg = need_value();
         } else if (flag == "--priority") {
-            priority_ratio = std::atof(need_value().c_str());
-            if (priority_ratio < 1.0)
-                usage(argv[0]);
+            priority_ratio = ratioFlag("--priority", need_value());
         } else if (flag == "--jobs") {
             // An integer keeps the historical meaning (sweep worker
             // threads); anything else is a multi-job cluster spec.
@@ -729,9 +746,7 @@ main(int argc, char** argv)
             else
                 jobs_arg = v;
         } else if (flag == "--tier-ratio") {
-            tier_ratio = std::atof(need_value().c_str());
-            if (tier_ratio < 1.0)
-                usage(argv[0]);
+            tier_ratio = ratioFlag("--tier-ratio", need_value());
         } else if (flag == "--offset-search") {
             offset_search = true;
         } else if (flag == "--iterations") {

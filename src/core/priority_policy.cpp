@@ -1,5 +1,6 @@
 #include "core/priority_policy.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -30,26 +31,35 @@ PriorityPolicy::uniform()
 PriorityPolicy
 PriorityPolicy::tiered(double ratio)
 {
-    THEMIS_ASSERT(ratio >= 1.0,
-                  "priority weight ratio must be >= 1, got " << ratio);
-    PriorityPolicy p;
-    p.uniform_ = false;
+    if (!(std::isfinite(ratio) && ratio >= 1.0))
+        THEMIS_FATAL("priority weight ratio must be a finite number "
+                     ">= 1, got " << ratio);
+    std::array<double, kNumPriorityTiers> weights{};
     double w = 1.0;
-    for (int t = 0; t < kNumPriorityTiers; ++t) {
-        p.weights_[static_cast<std::size_t>(t)] = w;
+    for (double& weight : weights) {
+        weight = w;
         w *= ratio;
     }
-    return p;
+    return custom(weights);
 }
 
 PriorityPolicy
 PriorityPolicy::custom(
     const std::array<double, kNumPriorityTiers>& weights)
 {
+    // Channels divide by sums of active weights, so an infinite
+    // weight or sum would turn every rate into 0 or NaN.
+    double sum = 0.0;
+    for (double w : weights) {
+        if (!(std::isfinite(w) && w > 0.0))
+            THEMIS_FATAL("flow weight must be finite and positive, got "
+                         << w);
+        sum += w;
+    }
+    if (!std::isfinite(sum))
+        THEMIS_FATAL("flow weights must have a finite sum, got " << sum);
     PriorityPolicy p;
     p.uniform_ = false;
-    for (double w : weights)
-        THEMIS_ASSERT(w > 0.0, "flow weight must be positive, got " << w);
     p.weights_ = weights;
     return p;
 }

@@ -16,9 +16,9 @@
  * PriorityPolicy maps tiers onto FlowClasses — a scheduling class for
  * the dimension engines' ready sets plus a weighted-GPS weight for
  * the shared channels. The default policy is *uniform*: every tier
- * collapses onto one class of weight 1, reproducing the egalitarian
- * pre-priority dataplane bit-for-bit. Priorities are therefore
- * strictly opt-in per runtime configuration.
+ * collapses onto one class of weight 1, so every flow gets an equal
+ * share of each channel. Priorities are therefore strictly opt-in per
+ * runtime configuration.
  */
 
 #ifndef THEMIS_CORE_PRIORITY_POLICY_HPP
@@ -109,13 +109,18 @@ class PriorityPolicy
 
     /**
      * Geometric weight ladder: tier t keeps its identity as the flow
-     * class and receives weight ratio^t (ratio >= 1). tiered(1.0)
-     * still separates classes for stats/ready-set purposes but all
-     * weights are 1.
+     * class and receives weight ratio^t. tiered(1.0) still separates
+     * classes for stats/ready-set purposes but all weights are 1.
+     * @throws ConfigError unless ratio is finite and >= 1 and the
+     *         weights and their sum stay finite.
      */
     static PriorityPolicy tiered(double ratio);
 
-    /** Explicit per-tier weights (all > 0); tiers keep identity. */
+    /**
+     * Explicit per-tier weights; tiers keep identity.
+     * @throws ConfigError unless every weight is finite and > 0 and
+     *         their sum is finite.
+     */
     static PriorityPolicy
     custom(const std::array<double, kNumPriorityTiers>& weights);
 

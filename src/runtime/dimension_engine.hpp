@@ -24,12 +24,7 @@
  * policy key, so picking the next op is O(log n) instead of a linear
  * rescan of the queue per start. Ops of an enforced collective that
  * are not yet expected are parked per collective and promoted when
- * the order cursor reaches them. The pre-PR linear scan is retained
- * behind `legacy_scan` so benches can measure both paths in the same
- * binary; the two paths pick identical ops in identical order (the
- * legacy scan is tier-aware too, but implements no anti-starvation
- * aging — it is a measurement baseline, exercised with uniform
- * priorities).
+ * the order cursor reaches them.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
@@ -40,9 +35,9 @@
  * transfer-time sum, running max delay, running active count) hoisted
  * into locals and a branch-light admit formula, instead of
  * re-querying the active multiset and map per start. The
- * one-op-at-a-time loop remains for enforced orders, mixed tiers and
- * pending bypasses, and is selectable outright (`scalar_admission`)
- * as an equivalence baseline; both paths admit identical prefixes.
+ * one-op-at-a-time loop is the general path: it serves enforced
+ * orders, mixed tiers and pending bypasses, and admits the identical
+ * prefix wherever the batch applies.
  *
  * Anti-starvation: tier precedence alone would let a sustained
  * high-tier stream park a low-tier op forever. The engine counts
@@ -56,7 +51,6 @@
 #define THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -106,9 +100,8 @@ struct AdmissionConfig
      * candidate of weight w_c at w_c's share, so a bulk backlog looks
      * small to an urgent candidate (admit) and an urgent burst looks
      * large to a bulk candidate (hold back). With uniform weights
-     * every w is 1.0 and the formula is bit-identical to the
-     * tier-blind sum (the pre-PR check, retained behind
-     * RuntimeConfig.legacy_tier_blind_headroom).
+     * every w is 1.0 and the check reduces to the plain transfer-time
+     * sum.
      */
     double latency_headroom = 9.0;
 
@@ -219,28 +212,10 @@ class DimensionEngine
      * @param global_dim  index of this dimension in the full topology
      * @param policy      intra-dimension ordering policy
      * @param admission   parallel-admission tunables
-     * @param legacy_scan use the pre-PR O(queue) selection scan
-     *                    (measurement baseline; results identical)
-     * @param fairness    the shared channel's sharing discipline
-     *                    (Egalitarian is the pre-priority equal-share
-     *                    baseline; requires unit flow weights)
-     * @param scalar_admission run the one-op-at-a-time admission
-     *                    check loop instead of the batched prefix
-     *                    pass (measurement/equivalence baseline;
-     *                    results identical)
-     * @param tier_blind_headroom use the pre-PR tier-blind admission
-     *                    headroom (unweighted transfer-time sum)
-     *                    instead of weighted service demand
-     *                    (measurement/equivalence baseline; identical
-     *                    under uniform flow weights)
      */
     DimensionEngine(sim::EventQueue& queue, DimensionConfig config,
                     int global_dim, IntraDimPolicy policy,
-                    AdmissionConfig admission, bool legacy_scan = false,
-                    sim::ChannelFairness fairness =
-                        sim::ChannelFairness::Weighted,
-                    bool scalar_admission = false,
-                    bool tier_blind_headroom = false);
+                    AdmissionConfig admission);
 
     DimensionEngine(const DimensionEngine&) = delete;
     DimensionEngine& operator=(const DimensionEngine&) = delete;
@@ -286,9 +261,8 @@ class DimensionEngine
     /**
      * Enable the fault path: transfers begun on the channel carry a
      * failure handler, and failed ops re-enter the ready set after
-     * exponential backoff per @p retry. Incompatible with the legacy
-     * scan (a measurement baseline). Arming changes no timing while
-     * no fault fires — fault-free runs stay bit-identical.
+     * exponential backoff per @p retry. Arming changes no timing
+     * while no fault fires — fault-free runs stay bit-identical.
      */
     void armFaults(const RetryConfig& retry);
 
@@ -340,11 +314,7 @@ class DimensionEngine
     int globalDim() const { return global_dim_; }
 
     /** Currently queued (not yet started) op count. */
-    std::size_t
-    queuedCount() const
-    {
-        return legacy_scan_ ? queue_.size() : pending_.size();
-    }
+    std::size_t queuedCount() const { return pending_.size(); }
 
     /** Currently executing op count. */
     std::size_t activeCount() const { return active_.size(); }
@@ -462,10 +432,7 @@ class DimensionEngine
      *  ready prefix in one pass with register-resident aggregates
      *  (single-tier, order-free fast path). */
     void tryStartBatch();
-    void tryStartLegacy();
     bool admissionAllows(const ChunkOp& candidate) const;
-    /** Queue index to start next, or npos if ordering blocks. */
-    std::size_t selectNext() const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
     void startOp(ChunkOp op);
@@ -487,9 +454,6 @@ class DimensionEngine
     int global_dim_;
     IntraDimPolicy policy_;
     AdmissionConfig admission_;
-    bool legacy_scan_;
-    bool scalar_admission_;
-    bool tier_blind_headroom_;
     sim::SharedChannel channel_;
 
     /**
@@ -500,7 +464,6 @@ class DimensionEngine
      */
     NodeArena arena_;
 
-    std::deque<PendingOp> queue_; ///< legacy-scan pending store
     /** Indexed pending store: arrival_seq -> op, plus the eligible
      *  set ordered by policy key. */
     std::unordered_map<
@@ -520,11 +483,9 @@ class DimensionEngine
              ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>>
         active_;
     /** Aggregates over active_, maintained incrementally so the
-     *  admission check is O(1) instead of rescanning the active set. */
-    TimeNs active_transfer_sum_ = 0.0;
-    /** Weight-scaled transfer-time sum (sum of transfer_i * w_i) for
-     *  the weight-aware headroom check; equals active_transfer_sum_
-     *  bit for bit when every weight is 1. */
+     *  admission check is O(1) instead of rescanning the active set:
+     *  the weight-scaled transfer-time sum (sum of transfer_i * w_i)
+     *  and the fixed delays. */
     TimeNs active_weighted_sum_ = 0.0;
     std::multiset<TimeNs, std::less<TimeNs>, ArenaAllocator<TimeNs>>
         active_delays_;

@@ -16,22 +16,11 @@
  * O(1) and a stale id from a previous tenant of the slot can never
  * cancel the current one.
  *
- * Two pending-set front ends sit on top of the slab:
- *
- *  - Calendar (default): a calendar queue (R. Brown, CACM '88) —
- *    entries hash into time buckets of adaptive width, and the
- *    monotone pop pattern of a simulation advances bucket by bucket,
- *    making schedule/pop amortized O(1). Bucket count and width
- *    re-adapt to the live event population, so bursty horizons and
- *    long idle gaps stay cheap.
- *  - Heap: the classic binary heap, O(log n) per pop. Kept selectable
- *    so benches can measure the calendar front end against it in the
- *    same binary.
- *
- * Both front ends fire events in the identical (timestamp, sequence)
- * order, so simulation results are bit-identical across them. The run
- * loops pop whole same-timestamp cohorts at once: one front-end
- * search serves every event of that timestamp.
+ * The pending set is an indexed 4-ary heap over (timestamp, sequence)
+ * entries. Each slot records its entry's heap position, so cancel()
+ * removes the entry eagerly in O(log n) and the heap never holds a
+ * cancelled event. The run loops pop whole same-timestamp cohorts at
+ * once, in sequence order.
  */
 
 #ifndef THEMIS_SIM_EVENT_QUEUE_HPP
@@ -41,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -50,15 +38,6 @@
 #include "common/units.hpp"
 
 namespace themis::sim {
-
-/** Pending-event store implementation; see file comment. */
-enum class EventFrontEnd {
-    Calendar, ///< bucketed calendar queue, amortized O(1) monotone pops
-    Heap,     ///< binary heap, O(log n) pops (measurement baseline)
-};
-
-/** Front-end name for reports ("calendar"/"heap"). */
-const char* eventFrontEndName(EventFrontEnd front_end);
 
 /**
  * Deterministic discrete-event queue.
@@ -78,14 +57,11 @@ class EventQueue
     /** Closure bytes stored in place; larger handlers are boxed. */
     static constexpr std::size_t kInlineCapacity = 48;
 
-    explicit EventQueue(EventFrontEnd front_end = EventFrontEnd::Calendar);
+    EventQueue() = default;
     ~EventQueue() { releaseAll(); }
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
-
-    /** Active pending-set front end (fixed at construction). */
-    EventFrontEnd frontEnd() const { return front_end_; }
 
     /** Current simulated time in nanoseconds. */
     TimeNs now() const { return now_; }
@@ -129,8 +105,9 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event in O(1). Cancelling an already-fired or
-     * unknown id is a harmless no-op (completion races are normal).
+     * Cancel a pending event in O(log n); the pending set shrinks at
+     * once. Cancelling an already-fired or unknown id is a harmless
+     * no-op (completion races are normal).
      */
     void cancel(EventId id);
 
@@ -158,12 +135,12 @@ class EventQueue
 
     /**
      * Rebase the clock of an *empty* queue back to zero (asserts
-     * emptiness). Unlike reset() this keeps the slab, the calendar
-     * geometry and the sequence counter, so it is O(1) and the next
-     * events schedule with warm storage. Iteration-epoch replay uses
-     * this so every training iteration runs in the identical time
-     * frame — the precondition for bit-identical steady-state
-     * trajectories regardless of how much simulated time has passed.
+     * emptiness). Unlike reset() this keeps the slab and the sequence
+     * counter, so it is O(1) and the next events schedule with warm
+     * storage. Iteration-epoch replay uses this so every training
+     * iteration runs in the identical time frame — the precondition
+     * for bit-identical steady-state trajectories regardless of how
+     * much simulated time has passed.
      */
     void rebaseToZero();
 
@@ -191,14 +168,11 @@ class EventQueue
         std::uint32_t generation = 0;
         std::uint32_t next_free = kNoSlot;
         /**
-         * Calendar back-pointer: bucket and position of this event's
-         * pending entry, so cancel() removes it eagerly in O(1)
-         * (kNoSlot bucket = not stored, e.g. already collected into a
-         * firing cohort). Unused by the heap front end, which discards
-         * cancelled entries lazily.
+         * Heap back-pointer: position of this event's pending entry,
+         * so cancel() removes it eagerly (kNoSlot = not in the heap,
+         * e.g. already collected into a firing cohort).
          */
-        std::uint32_t cal_bucket = kNoSlot;
-        std::uint32_t cal_pos = 0;
+        std::uint32_t heap_pos = kNoSlot;
     };
 
     struct Entry
@@ -209,16 +183,14 @@ class EventQueue
         std::uint32_t generation;
     };
 
-    struct Later
+    /** Firing order: timestamp, then scheduling sequence. */
+    static bool
+    earlier(const Entry& a, const Entry& b)
     {
-        bool
-        operator()(const Entry& a, const Entry& b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
+    }
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -262,58 +234,31 @@ class EventQueue
     }
 
     void pushEntry(const Entry& e);
+    /** Store @p e at heap position @p pos and point its slot there. */
+    void heapPlace(std::size_t pos, const Entry& e);
+    void siftUp(std::size_t pos);
+    void siftDown(std::size_t pos);
+    /** Remove the entry at heap position @p pos, clearing its slot's
+     *  back-pointer and restoring the heap order. */
+    void removeAt(std::size_t pos);
     /**
-     * Locate the earliest live entry without removing it; caches its
-     * position so an immediately following pop is O(1).
-     * @return false when no live entries remain.
-     */
-    bool peekNext(Entry& out);
-    /**
-     * Remove every live entry with timestamp exactly @p when into
-     * @p cohort, ordered by sequence number. Must follow a successful
-     * peekNext() that returned this timestamp.
+     * Remove every entry with timestamp exactly @p when (the heap
+     * top's) into @p cohort, in sequence order.
      */
     void collectCohortAt(TimeNs when, std::vector<Entry>& cohort);
     /** Shared run loop; fires whole same-timestamp cohorts at once. */
     std::size_t runCohorts(TimeNs until, bool bounded);
 
-    // Calendar front end.
-    std::uint64_t windowOf(TimeNs when) const;
-    void calPush(const Entry& e);
-    /** Append @p e to @p bucket_idx, maintaining the back-pointer. */
-    void calPlace(std::uint32_t bucket_idx, const Entry& e);
-    /** Swap-remove position @p pos of @p bucket_idx, fixing the moved
-     *  entry's back-pointer and clearing the removed one's. */
-    void calRemoveAt(std::uint32_t bucket_idx, std::size_t pos);
-    bool calPeek(Entry& out);
-    /** Relocate cur_win_ to the global minimum; false when empty. */
-    bool calJumpToMin();
-    /** Re-derive bucket count and width from the live population. */
-    void calAdapt();
-    void calInit();
-
-    // Heap front end.
-    bool heapPeek(Entry& out);
-
-    EventFrontEnd front_end_;
     TimeNs now_ = 0.0;
     std::uint64_t next_seq_ = 1;
     std::size_t live_events_ = 0;
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNoSlot;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-
-    std::vector<std::vector<Entry>> buckets_;
-    double width_ = 100.0;
-    std::uint64_t cur_win_ = 0;   ///< window index being scanned
-    /** Stored (live) entries: cancel() removes calendar entries
-     *  eagerly, so no bucket entry ever outlives its slot — the
-     *  invariant calRemoveAt's back-pointer fix relies on. */
-    std::size_t cal_count_ = 0;
-    bool peek_valid_ = false;
-    std::size_t peek_bucket_ = 0;
-    std::size_t peek_pos_ = 0;
+    /** Pending entries in heap order. cancel() removes entries
+     *  eagerly, so no entry ever outlives its slot — the invariant
+     *  the back-pointer fix-ups rely on. */
+    std::vector<Entry> heap_;
 
     std::vector<Entry> cohort_scratch_;
 };

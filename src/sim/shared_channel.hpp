@@ -22,12 +22,8 @@
  * min-heap. Advancing the clock updates one scalar (O(1));
  * begin/abort/completion touch only the heap (O(log n)) — nothing
  * ever iterates the active set. With every weight equal to 1 the
- * arithmetic reduces term-for-term to the egalitarian formulation
- * (the weight sum of n unit flows is exactly the integer n in
- * double precision), so results are bit-identical to the
- * pre-priority channel; ChannelFairness::Egalitarian keeps the
- * literal count-based expressions in the same binary as a
- * measurement/equivalence baseline.
+ * arithmetic reduces term-for-term to equal sharing (the weight sum
+ * of n unit flows is exactly the integer n in double precision).
  *
  * Because only differences (v_end - V) carry meaning, the channel
  * periodically *rebases* virtual time: once V exceeds 1e9 virtual
@@ -58,17 +54,6 @@
 namespace themis::sim {
 
 /**
- * Fluid-model fairness discipline. Weighted is the native
- * formulation; Egalitarian is the pre-priority equal-share path
- * (weights must all be 1), retained so equivalence tests and benches
- * can compare both in one binary.
- */
-enum class ChannelFairness {
-    Weighted,
-    Egalitarian,
-};
-
-/**
  * Fluid-model shared link implementing weighted processor sharing:
  * with active weights w_i each transfer runs at capacity * w_i /
  * sum(w_j).
@@ -97,10 +82,8 @@ class SharedChannel
     /**
      * @param queue    event queue driving this channel
      * @param capacity aggregate bandwidth in bytes/ns (> 0)
-     * @param fairness sharing discipline (see ChannelFairness)
      */
-    SharedChannel(EventQueue& queue, Bandwidth capacity,
-                  ChannelFairness fairness = ChannelFairness::Weighted);
+    SharedChannel(EventQueue& queue, Bandwidth capacity);
 
     SharedChannel(const SharedChannel&) = delete;
     SharedChannel& operator=(const SharedChannel&) = delete;
@@ -114,8 +97,7 @@ class SharedChannel
 
     /**
      * Begin transferring @p bytes at @p weight (> 0) in priority
-     * class @p priority_class (>= 0, small). Egalitarian channels
-     * accept unit weights only.
+     * class @p priority_class (>= 0, small).
      */
     TransferId begin(Bytes bytes, double weight, Callback on_done,
                      int priority_class = 0,
@@ -152,9 +134,6 @@ class SharedChannel
 
     /** Configured capacity (bytes/ns). */
     Bandwidth capacity() const { return capacity_; }
-
-    /** Configured fairness discipline. */
-    ChannelFairness fairness() const { return fairness_; }
 
     /**
      * Total bytes progressed so far (including partial progress of
@@ -275,7 +254,7 @@ class SharedChannel
     void rebaseNow();
     void heapPush(FinishEntry entry);
     void heapPop();
-    /** Virtual-time rate capacity / total weight (egalitarian: /n). */
+    /** Virtual-time rate: capacity / total active weight. */
     double virtualRate() const;
     ClassState& classState(int cls);
     /** Remove one transfer's weight from the aggregates. */
@@ -283,7 +262,6 @@ class SharedChannel
 
     EventQueue& queue_;
     Bandwidth capacity_;
-    ChannelFairness fairness_;
     std::unordered_map<TransferId, Transfer> active_;
     /**
      * Min-heap on (v_end, id) via std::push_heap/pop_heap — a

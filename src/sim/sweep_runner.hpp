@@ -41,12 +41,6 @@ struct SweepOptions
      * with a ConfigError rather than silently ignored.
      */
     int threads = 0;
-
-    /**
-     * Pending-set front end of every worker-owned EventQueue. Heap is
-     * the measurement baseline; results are bit-identical either way.
-     */
-    EventFrontEnd front_end = EventFrontEnd::Calendar;
 };
 
 /** Fans independent simulation jobs across workers; see file comment. */
@@ -72,7 +66,6 @@ class SweepRunner
 
   private:
     int threads_;
-    EventFrontEnd front_end_;
 };
 
 /**

@@ -4,8 +4,7 @@
  * training loop, per-job wire-level byte conservation under
  * contention, per-class/per-job accounting consistency, urgent-tier
  * latency vs weight ratio, periodic-inference deadline accounting,
- * weight-aware admission headroom (≡ tier-blind under uniform
- * weights), phase-offset search, multi-loop lockstep convergence
+ * phase-offset search, multi-loop lockstep convergence
  * (replay bit-identical to full simulation), and the replay refusal
  * guards for mixes that never reach a common steady state.
  */
@@ -284,62 +283,6 @@ TEST(Cluster, OpenEndedPeriodicWithoutTrainingRejected)
     EXPECT_THROW(
         JobScheduler({JobSpec::periodicInference(1.6e7, 1.0e5)}),
         ConfigError);
-}
-
-// --------------------------------------- weight-aware admission (S1)
-
-TEST(Admission, WeightAwareBitIdenticalToTierBlindUnderUniform)
-{
-    const Topology topo = presets::byName("3D-SW_SW_SW_homo");
-    // Uniform weights: the weighted service demand reduces to the
-    // tier-blind sum term for term, so full runs are bit-identical.
-    for (bool tiered_classes : {false, true}) {
-        std::vector<TimeNs> durs[2];
-        for (int legacy = 0; legacy < 2; ++legacy) {
-            runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-            if (tiered_classes) {
-                // tiered(1): classes separated, weights all 1.
-                cfg.scheduler = SchedulerKind::ThemisPriority;
-                cfg.priority = PriorityPolicy::tiered(1.0);
-            }
-            cfg.legacy_tier_blind_headroom = legacy == 1;
-            sim::EventQueue q;
-            runtime::CommRuntime comm(q, topo, cfg);
-            std::vector<int> ids;
-            for (int i = 0; i < 4; ++i) {
-                CollectiveRequest req;
-                req.type = CollectiveType::AllReduce;
-                req.size = 2.0e8;
-                req.chunks = 32;
-                req.priority_tier = i % kNumPriorityTiers;
-                ids.push_back(comm.issue(req));
-            }
-            q.run();
-            for (int id : ids)
-                durs[legacy].push_back(comm.record(id).duration());
-        }
-        ASSERT_EQ(durs[0].size(), durs[1].size());
-        for (std::size_t i = 0; i < durs[0].size(); ++i)
-            EXPECT_TRUE(bitEquals(durs[0][i], durs[1][i]))
-                << "tiered_classes=" << tiered_classes << " op " << i;
-    }
-}
-
-TEST(Admission, WeightAwareHeadroomHelpsUrgentUnderWeights)
-{
-    const Topology topo = presets::byName("2D-SW_SW");
-    // With real weight ladders the weight-aware check admits urgent
-    // work a bulk backlog would have blocked; the urgent stream must
-    // be no slower than under the tier-blind check.
-    TimeNs mean[2] = {0.0, 0.0};
-    for (int legacy = 0; legacy < 2; ++legacy) {
-        runtime::RuntimeConfig cfg = priorityConfig(16.0);
-        cfg.legacy_tier_blind_headroom = legacy == 1;
-        sim::EventQueue q;
-        Cluster cl(q, topo, cfg, contentionMix());
-        mean[legacy] = cl.run().jobs[1].mean_latency;
-    }
-    EXPECT_LE(mean[0], mean[1] * (1.0 + 1e-9));
 }
 
 // ---------------------------------------------------- offset search

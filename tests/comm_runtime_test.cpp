@@ -159,61 +159,5 @@ TEST(CommRuntime, EngineAccessorBoundsChecked)
     EXPECT_DEATH(comm.record(0), "unknown collective");
 }
 
-TEST(CommRuntime, IndexedAndLegacyEngineSelectionAgree)
-{
-    // The indexed ready-set and the pre-PR linear scan must pick
-    // identical ops in identical order — checked end-to-end via
-    // bit-identical completion times across policies, collective
-    // types, and overlapping collectives.
-    for (const auto& base_cfg :
-         {baselineConfig(), themisFifoConfig(), themisScfConfig()}) {
-        for (const auto type :
-             {CollectiveType::AllReduce, CollectiveType::AllToAll}) {
-            auto run = [&](bool legacy) {
-                RuntimeConfig cfg = base_cfg;
-                cfg.legacy_engine_scan = legacy;
-                sim::EventQueue queue;
-                CommRuntime comm(queue,
-                                 presets::make3DSwSwSwHetero(), cfg);
-                const int a = comm.issue(request(type, 4.0e8, 24));
-                // Overlap a second, scoped collective mid-flight.
-                queue.runUntil(queue.now() + 1.0e5);
-                const int b = comm.issue(
-                    request(type, 1.0e8, 8,
-                            {ScopeDim{0, 0}, ScopeDim{1, 0}}));
-                queue.run();
-                return std::pair<TimeNs, TimeNs>(
-                    comm.record(a).duration(),
-                    comm.record(b).duration());
-            };
-            const auto fast = run(false);
-            const auto legacy = run(true);
-            EXPECT_EQ(fast.first, legacy.first);
-            EXPECT_EQ(fast.second, legacy.second);
-        }
-    }
-}
-
-TEST(CommRuntime, IndexedSelectionHonorsEnforcedOrders)
-{
-    for (const auto planner :
-         {OrderPlanner::ShadowSim, OrderPlanner::FastSerial}) {
-        auto run = [&](bool legacy) {
-            RuntimeConfig cfg = themisScfConfig();
-            cfg.enforce_consistent_order = true;
-            cfg.order_planner = planner;
-            cfg.legacy_engine_scan = legacy;
-            sim::EventQueue queue;
-            CommRuntime comm(queue, presets::make3DSwSwSwHetero(),
-                             cfg);
-            const int id = comm.issue(
-                request(CollectiveType::AllReduce, 4.0e8, 24));
-            queue.run();
-            return comm.record(id).duration();
-        };
-        EXPECT_EQ(run(false), run(true));
-    }
-}
-
 } // namespace
 } // namespace themis::runtime

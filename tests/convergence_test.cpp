@@ -2,8 +2,7 @@
  * @file
  * Steady-state iteration replay: epoch mechanics, fingerprint-based
  * detection, replay-vs-full-simulation bit identity (including the
- * in-binary exactness mode), session-pool and arena reuse, and the
- * batched-vs-scalar admission equivalence.
+ * in-binary exactness mode), and session-pool and arena reuse.
  */
 
 #include <gtest/gtest.h>
@@ -246,75 +245,6 @@ TEST(Convergence, FingerprintSeparatesDifferentWorkloads)
     const auto sb = comm.finishIterationEpoch();
     EXPECT_NE(sa.fingerprint, sb.fingerprint);
     EXPECT_FALSE(sa.identicalTo(sb));
-}
-
-TEST(Convergence, BatchedAdmissionBitIdenticalToScalar)
-{
-    const ModelGraph model = smallHybridModel();
-    for (const auto& topo :
-         {presets::make2DSwSw(), presets::make3DSwSwSwHomo()}) {
-        runtime::RuntimeConfig batched = runtime::themisScfConfig();
-        runtime::RuntimeConfig scalar = batched;
-        scalar.legacy_scalar_admission = true;
-        ConvergenceOptions opts;
-        opts.iterations = 4;
-        opts.replay = false;
-        const auto rb = runModel(model, topo, opts, batched);
-        const auto rs = runModel(model, topo, opts, scalar);
-        EXPECT_TRUE(bitIdentical(rb.total, rs.total));
-        EXPECT_EQ(rb.ops, rs.ops);
-        for (std::size_t d = 0; d < rb.dim_bytes.size(); ++d)
-            EXPECT_EQ(rb.dim_bytes[d], rs.dim_bytes[d]);
-    }
-}
-
-TEST(Convergence, BatchedAdmissionMatchesScalarUnderPriorities)
-{
-    // Mixed tiers force the batched dispatcher onto the scalar
-    // fallback mid-run; results must still match the always-scalar
-    // engine bit for bit.
-    runtime::RuntimeConfig batched = runtime::themisScfConfig();
-    batched.scheduler = SchedulerKind::ThemisPriority;
-    batched.priority = PriorityPolicy::tiered(4.0);
-    runtime::RuntimeConfig scalar = batched;
-    scalar.legacy_scalar_admission = true;
-
-    auto run_two_tenant = [&](const runtime::RuntimeConfig& cfg) {
-        sim::EventQueue queue;
-        runtime::CommRuntime comm(queue, presets::make2DSwSw(), cfg);
-        std::vector<TimeNs> done;
-        for (int i = 0; i < 4; ++i) {
-            CollectiveRequest r;
-            r.type = CollectiveType::AllReduce;
-            r.size = 1.0e8;
-            r.priority_tier =
-                static_cast<int>(i % 2 == 0 ? PriorityTier::Urgent
-                                            : PriorityTier::Bulk);
-            const int id = comm.issue(r);
-            (void)id;
-        }
-        queue.run();
-        for (const auto& rec : comm.records())
-            done.push_back(rec.completed);
-        return done;
-    };
-    EXPECT_EQ(run_two_tenant(batched), run_two_tenant(scalar));
-}
-
-TEST(Convergence, EnforcedOrderRunsStayOnScalarPathAndAgree)
-{
-    runtime::RuntimeConfig batched = runtime::themisScfConfig();
-    batched.enforce_consistent_order = true;
-    runtime::RuntimeConfig scalar = batched;
-    scalar.legacy_scalar_admission = true;
-    ConvergenceOptions opts;
-    opts.iterations = 3;
-    opts.replay = false;
-    const auto rb = runModel(smallHybridModel(), presets::make2DSwSw(),
-                             opts, batched);
-    const auto rs = runModel(smallHybridModel(), presets::make2DSwSw(),
-                             opts, scalar);
-    EXPECT_TRUE(bitIdentical(rb.total, rs.total));
 }
 
 TEST(Convergence, RunWithoutEpochsStillWorksAfterEpochRun)

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: ordering, determinism,
- * cancellation and bounded runs.
+ * cancellation and bounded runs, and randomized workloads checked
+ * against a test-local reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -267,55 +269,142 @@ TEST(EventQueue, IdenticalRunsFireInIdenticalOrder)
 }
 
 // ---------------------------------------------------------------------
-// Calendar vs heap front-end equivalence. Both must fire events in the
-// identical (timestamp, scheduling-order) sequence; the tests drive
-// the same workload through both and compare the full firing traces.
+// Reference model. RefQueue keeps pending events in a list sorted by
+// (timestamp, scheduling sequence) and fires them one at a time. The
+// queue under test must fire any workload in exactly that order: its
+// same-timestamp cohorts are a batching of this sequence, not a
+// different one.
 
-/** (time, marker) trace of one workload under @p front_end. */
-template <typename Drive>
-std::vector<std::pair<TimeNs, int>>
-traceOf(EventFrontEnd front_end, Drive&& drive)
+/** Sorted-list reference with the EventQueue calls the drives use. */
+class RefQueue
 {
-    EventQueue q(front_end);
-    std::vector<std::pair<TimeNs, int>> trace;
+  public:
+    using EventId = std::uint64_t;
+
+    TimeNs now() const { return now_; }
+
+    EventId
+    schedule(TimeNs when, std::function<void()> handler)
+    {
+        const Pending p{when, ++last_seq_, std::move(handler)};
+        pending_.insert(std::upper_bound(pending_.begin(), pending_.end(),
+                                         p, earlier),
+                        std::move(p));
+        return last_seq_;
+    }
+
+    EventId
+    scheduleAfter(TimeNs delay, std::function<void()> handler)
+    {
+        return schedule(now_ + delay, std::move(handler));
+    }
+
+    void
+    cancel(EventId id)
+    {
+        pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                      [id](const Pending& p) {
+                                          return p.seq == id;
+                                      }),
+                       pending_.end());
+    }
+
+    std::size_t pendingCount() const { return pending_.size(); }
+
+    std::size_t
+    run()
+    {
+        std::size_t fired = 0;
+        while (!pending_.empty()) {
+            Pending p = std::move(pending_.front());
+            pending_.erase(pending_.begin());
+            now_ = p.when;
+            p.handler();
+            ++fired;
+        }
+        return fired;
+    }
+
+  private:
+    struct Pending
+    {
+        TimeNs when;
+        std::uint64_t seq;
+        std::function<void()> handler;
+    };
+
+    static bool
+    earlier(const Pending& a, const Pending& b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    TimeNs now_ = 0.0;
+    std::uint64_t last_seq_ = 0;
+    std::vector<Pending> pending_;
+};
+
+using Trace = std::vector<std::pair<TimeNs, int>>;
+
+/** (time, marker) trace of @p drive run on a fresh @p Queue. */
+template <typename Queue, typename Drive>
+Trace
+traceOf(Drive&& drive)
+{
+    Queue q;
+    Trace trace;
     drive(q, trace);
     return trace;
 }
 
-TEST(EventQueue, FrontEndsAgreeOnRandomizedWorkload)
+/** Traces of @p drive on EventQueue and on the reference; must match. */
+template <typename Drive>
+Trace
+checkAgainstReference(Drive&& drive)
 {
-    auto drive = [](EventQueue& q,
-                    std::vector<std::pair<TimeNs, int>>& trace) {
-        std::vector<EventQueue::EventId> ids;
-        // Deterministic pseudo-random times with duplicates and wide
-        // spread, plus a cancellation pattern.
-        std::uint64_t state = 42;
-        auto next = [&state] {
-            state = state * 6364136223846793005ull + 1442695040888963407ull;
-            return state >> 33;
-        };
+    const Trace got = traceOf<EventQueue>(drive);
+    const Trace want = traceOf<RefQueue>(drive);
+    EXPECT_EQ(got, want);
+    EXPECT_FALSE(got.empty());
+    return got;
+}
+
+/** Deterministic 31-bit pseudo-random stream. */
+struct Lcg
+{
+    std::uint64_t state;
+
+    std::uint64_t
+    operator()()
+    {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    }
+};
+
+TEST(EventQueue, MatchesReferenceOnRandomizedScheduleCancel)
+{
+    checkAgainstReference([](auto& q, Trace& trace) {
+        // Pseudo-random times with duplicates and wide spread, plus a
+        // cancellation pattern.
+        std::vector<std::uint64_t> ids;
+        Lcg next{42};
         for (int i = 0; i < 2000; ++i) {
-            const double when =
-                static_cast<double>(next() % 100000) * 0.5;
+            const double when = static_cast<double>(next() % 100000) * 0.5;
             ids.push_back(q.schedule(
                 when, [&trace, &q, i] { trace.emplace_back(q.now(), i); }));
         }
         for (int i = 0; i < 2000; i += 3)
             q.cancel(ids[static_cast<std::size_t>(i)]);
         q.run();
-    };
-    const auto cal = traceOf(EventFrontEnd::Calendar, drive);
-    const auto heap = traceOf(EventFrontEnd::Heap, drive);
-    EXPECT_EQ(cal, heap);
-    EXPECT_FALSE(cal.empty());
+    });
 }
 
-TEST(EventQueue, FrontEndsAgreeWithHandlerRescheduling)
+TEST(EventQueue, MatchesReferenceWithHandlerRescheduling)
 {
-    auto drive = [](EventQueue& q,
-                    std::vector<std::pair<TimeNs, int>>& trace) {
+    checkAgainstReference([](auto& q, Trace& trace) {
         // Handlers schedule follow-ups at the same and later times,
-        // exercising mid-cohort insertion in both front ends.
+        // inserting into the cohort being fired.
         std::function<void(int)> chain = [&](int depth) {
             trace.emplace_back(q.now(), depth);
             if (depth >= 40)
@@ -327,18 +416,49 @@ TEST(EventQueue, FrontEndsAgreeWithHandlerRescheduling)
         q.schedule(1.0, [&chain] { chain(0); });
         q.schedule(1.0, [&chain] { chain(1); });
         q.run();
-    };
-    const auto cal = traceOf(EventFrontEnd::Calendar, drive);
-    const auto heap = traceOf(EventFrontEnd::Heap, drive);
-    EXPECT_EQ(cal, heap);
-    EXPECT_FALSE(cal.empty());
+    });
 }
 
-TEST(EventQueue, CalendarSparseFarApartEvents)
+TEST(EventQueue, MatchesReferenceUnderRandomCancelRescheduleChurn)
 {
-    // Exponentially growing gaps stress the year-wrap, jump-to-min
-    // and width re-adaptation paths.
-    EventQueue q(EventFrontEnd::Calendar);
+    for (std::uint64_t seed : {1u, 7u, 1234u}) {
+        checkAgainstReference([seed](auto& q, Trace& trace) {
+            // Each firing cancels a random pending event and schedules
+            // up to two more: at its own timestamp (joining the cohort
+            // being fired), on a coarse grid that makes ties common,
+            // or far in the future.
+            std::vector<std::uint64_t> ids;
+            Lcg next{seed};
+            int budget = 3000;
+            std::function<void(int)> fire = [&](int marker) {
+                trace.emplace_back(q.now(), marker);
+                if (!ids.empty())
+                    q.cancel(ids[next() % ids.size()]);
+                const int spawn = static_cast<int>(next() % 3);
+                for (int k = 0; k < spawn && budget > 0; ++k, --budget) {
+                    const std::uint64_t r = next() % 10;
+                    const double delay =
+                        r < 3 ? 0.0
+                              : r < 9 ? static_cast<double>(next() % 8) * 50.0
+                                      : 1.0e9 + static_cast<double>(r);
+                    const int m = budget;
+                    ids.push_back(
+                        q.scheduleAfter(delay, [&fire, m] { fire(m); }));
+                }
+            };
+            for (int i = 0; i < 64; ++i) {
+                const double when = static_cast<double>(next() % 16) * 50.0;
+                ids.push_back(q.schedule(when, [&fire, i] { fire(-i); }));
+            }
+            q.run();
+        });
+    }
+}
+
+TEST(EventQueue, SparseFarApartEvents)
+{
+    // Exponentially growing gaps between consecutive events.
+    EventQueue q;
     std::vector<int> order;
     double when = 1.0;
     for (int i = 0; i < 40; ++i) {
@@ -350,12 +470,10 @@ TEST(EventQueue, CalendarSparseFarApartEvents)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CalendarDensePopulationTriggersResize)
+TEST(EventQueue, DensePopulationKeepsOrder)
 {
-    // Push far past the grow trigger, then drain; order must hold
-    // through the re-bucketing.
-    EventQueue q(EventFrontEnd::Calendar);
-    std::vector<std::pair<TimeNs, int>> trace;
+    EventQueue q;
+    Trace trace;
     for (int i = 0; i < 5000; ++i) {
         q.schedule(static_cast<double>((i * 911) % 1277),
                    [&trace, &q, i] { trace.emplace_back(q.now(), i); });
@@ -369,24 +487,58 @@ TEST(EventQueue, CalendarDensePopulationTriggersResize)
     }
 }
 
+TEST(EventQueue, EagerCancelShrinksPendingSetAtOnce)
+{
+    // Cancelling a far-future event removes it from the pending set
+    // immediately: the count drops, the clock never visits its
+    // timestamp, and the drained queue can rebase to zero.
+    EventQueue q;
+    std::vector<int> fired;
+    q.schedule(10.0, [&] { fired.push_back(1); });
+    const auto far = q.schedule(1.0e15, [&] { fired.push_back(-1); });
+    q.schedule(20.0, [&] { fired.push_back(2); });
+    EXPECT_EQ(q.pendingCount(), 3u);
+    q.cancel(far);
+    EXPECT_EQ(q.pendingCount(), 2u);
+    q.cancel(far); // already gone: no-op
+    EXPECT_EQ(q.pendingCount(), 2u);
+    EXPECT_EQ(q.run(), 2u);
+    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+    EXPECT_DOUBLE_EQ(q.now(), 20.0);
+    q.rebaseToZero();
+    EXPECT_DOUBLE_EQ(q.now(), 0.0);
+
+    // Cancelling every event of a large population, far ones first,
+    // leaves nothing behind.
+    std::vector<EventQueue::EventId> ids;
+    for (int i = 0; i < 1000; ++i)
+        ids.push_back(q.schedule(static_cast<double>(1000 - i) * 1.0e9,
+                                 [] { FAIL() << "cancelled event fired"; }));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        q.cancel(ids[i]);
+        EXPECT_EQ(q.pendingCount(), ids.size() - i - 1);
+    }
+    EXPECT_TRUE(q.empty());
+    q.rebaseToZero();
+    EXPECT_EQ(q.run(), 0u);
+    EXPECT_DOUBLE_EQ(q.now(), 0.0);
+}
+
 TEST(EventQueue, CohortMemberCanCancelLaterSameTimeEvent)
 {
     // Same-timestamp events fire as one batched cohort; an earlier
     // member cancelling a later one must still suppress it.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId victim = 0;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.cancel(victim);
-        });
-        victim = q.schedule(5.0, [&] { fired.push_back(2); });
-        q.schedule(5.0, [&] { fired.push_back(3); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 3}))
-            << eventFrontEndName(fe);
-    }
+    EventQueue q;
+    std::vector<int> fired;
+    EventQueue::EventId victim = 0;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.cancel(victim);
+    });
+    victim = q.schedule(5.0, [&] { fired.push_back(2); });
+    q.schedule(5.0, [&] { fired.push_back(3); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, CohortHandlerSchedulesSameTimeEvent)
@@ -394,24 +546,21 @@ TEST(EventQueue, CohortHandlerSchedulesSameTimeEvent)
     // An event scheduled *at* the cohort's timestamp from inside it
     // fires after the cohort (FIFO by scheduling order) but before
     // any later-time event.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.scheduleAfter(0.0, [&] { fired.push_back(9); });
-        });
-        q.schedule(5.0, [&] { fired.push_back(2); });
-        q.schedule(6.0, [&] { fired.push_back(3); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 2, 9, 3}))
-            << eventFrontEndName(fe);
-    }
+    EventQueue q;
+    std::vector<int> fired;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.scheduleAfter(0.0, [&] { fired.push_back(9); });
+    });
+    q.schedule(5.0, [&] { fired.push_back(2); });
+    q.schedule(6.0, [&] { fired.push_back(3); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 9, 3}));
 }
 
-TEST(EventQueue, CalendarRunUntilBoundaryAndReset)
+TEST(EventQueue, RunUntilBoundaryAndReset)
 {
-    EventQueue q(EventFrontEnd::Calendar);
+    EventQueue q;
     std::vector<int> fired;
     q.schedule(10.0, [&] { fired.push_back(1); });
     q.schedule(20.0, [&] { fired.push_back(2); });
@@ -435,33 +584,30 @@ TEST(EventQueue, ThrowingHandlerLeavesQueueResumable)
     // Sweep jobs propagate ConfigError through run(); the thrown
     // handler is consumed but the rest of its same-timestamp cohort
     // must stay pending so a caller can resume (or reset) the queue.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId victim = 0;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.cancel(victim); // cancelled mid-cohort, must stay dead
-            throw std::runtime_error("boom");
-        });
-        q.schedule(5.0, [&] { fired.push_back(2); });
-        victim = q.schedule(5.0, [&] { fired.push_back(4); });
-        q.schedule(7.0, [&] { fired.push_back(3); });
-        EXPECT_THROW(q.run(), std::runtime_error);
-        EXPECT_EQ(q.pendingCount(), 2u) << eventFrontEndName(fe);
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}))
-            << eventFrontEndName(fe);
-        EXPECT_TRUE(q.empty());
-    }
+    EventQueue q;
+    std::vector<int> fired;
+    EventQueue::EventId victim = 0;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.cancel(victim); // cancelled mid-cohort, must stay dead
+        throw std::runtime_error("boom");
+    });
+    q.schedule(5.0, [&] { fired.push_back(2); });
+    victim = q.schedule(5.0, [&] { fired.push_back(4); });
+    q.schedule(7.0, [&] { fired.push_back(3); });
+    EXPECT_THROW(q.run(), std::runtime_error);
+    EXPECT_EQ(q.pendingCount(), 2u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CalendarCancelChurnStaysConsistent)
+TEST(EventQueue, CancelChurnStaysConsistent)
 {
     // The SharedChannel pattern: every completion cancels and
-    // reschedules a pending event. Eager O(1) removal must keep the
-    // store and counters consistent across thousands of churn cycles.
-    EventQueue q(EventFrontEnd::Calendar);
+    // reschedules a pending event. Eager removal must keep the store
+    // and counters consistent across thousands of churn cycles.
+    EventQueue q;
     int fired = 0;
     EventQueue::EventId pending = 0;
     std::function<void()> step = [&] {
@@ -484,130 +630,104 @@ TEST(EventQueue, CalendarCancelChurnStaysConsistent)
 }
 
 // ---------------------------------------------------------------------
-// Calendar cohort boundaries. The initial bucket width is 100 ns, so
-// timestamps at exact multiples of 100 land precisely on a bucket
-// edge: windowOf() must place them in the *following* window, and
-// cancel/re-push churn during a same-timestamp cohort pop must not
-// corrupt the back-pointers or the firing order.
+// Cohort cancel/re-push: while a same-timestamp cohort fires, its
+// members cancel pending events (in the cohort and later) and push
+// replacements at the cohort's own timestamp and later ones — the
+// cancel/re-push pattern of the shared channels.
 
-TEST(EventQueue, CohortCancelExactlyOnBucketEdge)
+TEST(EventQueue, CohortCancelsSameAndLaterTimestamp)
 {
-    // The whole cohort sits on a bucket edge; the first member
-    // cancels a later same-timestamp (same-edge) event and a
-    // next-edge event mid-pop.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId same_edge = 0, next_edge = 0;
-        q.schedule(100.0, [&] {
-            fired.push_back(1);
-            q.cancel(same_edge);
-            q.cancel(next_edge);
-        });
-        same_edge = q.schedule(100.0, [&] { fired.push_back(2); });
-        q.schedule(100.0, [&] { fired.push_back(3); });
-        next_edge = q.schedule(200.0, [&] { fired.push_back(4); });
-        q.schedule(200.0, [&] { fired.push_back(5); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}))
-            << eventFrontEndName(fe);
-        EXPECT_TRUE(q.empty());
-    }
+    // The first member cancels a later same-timestamp event and a
+    // next-timestamp event mid-pop.
+    EventQueue q;
+    std::vector<int> fired;
+    EventQueue::EventId same_time = 0, next_time = 0;
+    q.schedule(100.0, [&] {
+        fired.push_back(1);
+        q.cancel(same_time);
+        q.cancel(next_time);
+    });
+    same_time = q.schedule(100.0, [&] { fired.push_back(2); });
+    q.schedule(100.0, [&] { fired.push_back(3); });
+    next_time = q.schedule(200.0, [&] { fired.push_back(4); });
+    q.schedule(200.0, [&] { fired.push_back(5); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
+    EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CohortRePushExactlyOnBucketEdge)
+TEST(EventQueue, CohortRePushMatchesReference)
 {
-    // Mid-cohort, a handler cancels an edge event and immediately
-    // re-pushes replacements at the same edge timestamp and at the
-    // next edge — the cancel/re-push pattern of the shared channels,
-    // pinned to bucket boundaries. Replacements at the cohort's own
-    // timestamp fire after the current cohort (FIFO by scheduling
-    // order); the next-edge replacement fires at its own time.
-    auto drive = [](EventQueue& q,
-                    std::vector<std::pair<TimeNs, int>>& trace) {
-        EventQueue::EventId victim = 0;
+    // Replacements at the cohort's own timestamp fire after the
+    // current cohort (FIFO by scheduling order); the later
+    // replacement fires at its own time.
+    const Trace got = checkAgainstReference([](auto& q, Trace& trace) {
+        std::uint64_t victim = 0;
         q.schedule(200.0, [&] {
             trace.emplace_back(q.now(), 1);
             q.cancel(victim);
-            q.schedule(200.0,
-                       [&] { trace.emplace_back(q.now(), 10); });
-            q.schedule(300.0,
-                       [&] { trace.emplace_back(q.now(), 11); });
+            q.schedule(200.0, [&] { trace.emplace_back(q.now(), 10); });
+            q.schedule(300.0, [&] { trace.emplace_back(q.now(), 11); });
         });
-        victim = q.schedule(200.0,
-                            [&] { trace.emplace_back(q.now(), 2); });
+        victim = q.schedule(200.0, [&] { trace.emplace_back(q.now(), 2); });
         q.schedule(200.0, [&] { trace.emplace_back(q.now(), 3); });
         q.schedule(300.0, [&] { trace.emplace_back(q.now(), 4); });
         q.run();
-    };
-    const auto cal = traceOf(EventFrontEnd::Calendar, drive);
-    const auto heap = traceOf(EventFrontEnd::Heap, drive);
-    EXPECT_EQ(cal, heap);
-    const std::vector<std::pair<TimeNs, int>> expected{
+    });
+    const Trace expected{
         {200.0, 1}, {200.0, 3}, {200.0, 10}, {300.0, 4}, {300.0, 11}};
-    EXPECT_EQ(cal, expected);
+    EXPECT_EQ(got, expected);
 }
 
-TEST(EventQueue, CohortCancelRePushChurnAcrossManyEdges)
+TEST(EventQueue, CohortCancelRePushChurnMatchesReference)
 {
-    // Stress the interaction: every edge cohort cancels one of its
-    // members and re-pushes onto the same edge and onto edges the
-    // width-adaptation may have re-bucketed. Calendar and heap must
-    // produce identical traces.
-    auto drive = [](EventQueue& q,
-                    std::vector<std::pair<TimeNs, int>>& trace) {
-        std::vector<EventQueue::EventId> victims(64, 0);
+    // Every cohort cancels one pending event and re-pushes onto its
+    // own timestamp and two steps ahead.
+    checkAgainstReference([](auto& q, Trace& trace) {
+        std::vector<std::uint64_t> victims(64, 0);
         for (int e = 1; e <= 40; ++e) {
-            const double edge = 100.0 * e;
-            q.schedule(edge, [&q, &trace, &victims, e] {
+            const double at = 100.0 * e;
+            q.schedule(at, [&q, &trace, &victims, e] {
                 trace.emplace_back(q.now(), e);
                 q.cancel(victims[static_cast<std::size_t>(e % 64)]);
                 if (e % 3 == 0) {
-                    // Same-edge re-push from inside the cohort.
+                    // Same-timestamp re-push from inside the cohort.
                     q.scheduleAfter(0.0, [&q, &trace, e] {
                         trace.emplace_back(q.now(), 1000 + e);
                     });
                 }
-                // Re-push exactly two edges ahead.
                 victims[static_cast<std::size_t>((e + 2) % 64)] =
                     q.schedule(q.now() + 200.0, [&q, &trace, e] {
                         trace.emplace_back(q.now(), 2000 + e);
                     });
             });
-            q.schedule(edge, [&q, &trace, e] {
+            q.schedule(at, [&q, &trace, e] {
                 trace.emplace_back(q.now(), 100 + e);
             });
         }
         q.run();
-    };
-    const auto cal = traceOf(EventFrontEnd::Calendar, drive);
-    const auto heap = traceOf(EventFrontEnd::Heap, drive);
-    EXPECT_EQ(cal, heap);
-    EXPECT_FALSE(cal.empty());
+    });
 }
 
 TEST(EventQueue, RebaseToZeroRestartsTheClock)
 {
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<std::pair<TimeNs, int>> trace;
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 1); });
-        const auto cancelled =
-            q.schedule(900.0, [&] { trace.emplace_back(q.now(), -1); });
-        q.cancel(cancelled);
-        q.run();
-        q.rebaseToZero();
-        EXPECT_DOUBLE_EQ(q.now(), 0.0);
-        // The rebased frame replays identically: same times, FIFO
-        // order preserved, stale pre-rebase entries inert.
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 2); });
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 3); });
-        q.run();
-        const std::vector<std::pair<TimeNs, int>> expected{
-            {150.0, 1}, {150.0, 2}, {150.0, 3}};
-        EXPECT_EQ(trace, expected) << eventFrontEndName(fe);
-        EXPECT_TRUE(q.empty());
-    }
+    EventQueue q;
+    Trace trace;
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 1); });
+    const auto cancelled =
+        q.schedule(900.0, [&] { trace.emplace_back(q.now(), -1); });
+    q.cancel(cancelled);
+    q.run();
+    q.rebaseToZero();
+    EXPECT_DOUBLE_EQ(q.now(), 0.0);
+    // The rebased frame replays identically: same times, FIFO order
+    // preserved, the cancelled pre-rebase event gone for good.
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 2); });
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 3); });
+    q.run();
+    const Trace expected{{150.0, 1}, {150.0, 2}, {150.0, 3}};
+    EXPECT_EQ(trace, expected);
+    EXPECT_TRUE(q.empty());
 }
 
 } // namespace

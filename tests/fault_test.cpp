@@ -271,11 +271,6 @@ TEST(FaultRuntime, ConfigRejectsBadWiring)
     bad_retry.retry.max_attempts = 0;
     EXPECT_THROW(runtime::CommRuntime(q, topo, bad_retry),
                  ConfigError);
-
-    auto legacy = runtime::themisScfConfig();
-    legacy.faults = &ok;
-    legacy.legacy_engine_scan = true;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, legacy), ConfigError);
 }
 
 // ------------------------------------------------ fault report table

@@ -2,8 +2,7 @@
  * @file
  * Weighted-fairness dataplane tests: weighted-GPS channel invariants
  * (weight-proportional sharing, byte conservation, weight-aware
- * rebasing), equal-weight ≡ egalitarian bit-identical equivalence
- * across fig08/fig10/fig12-shaped harnesses, tier precedence and
+ * rebasing), weight-ratio validation, tier precedence and
  * no-starvation in the dimension engines, the priority-aware Themis
  * scheduler variant, priority-extended plan-cache keys, the step-plan
  * memo, and per-class statistics.
@@ -11,23 +10,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/priority_policy.hpp"
 #include "core/themis_scheduler.hpp"
-#include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "runtime/dimension_engine.hpp"
 #include "sim/shared_channel.hpp"
 #include "topology/parse.hpp"
 #include "topology/presets.hpp"
-#include "workload/training_loop.hpp"
 
 namespace themis {
 namespace {
 
-using sim::ChannelFairness;
 using sim::EventQueue;
 using sim::SharedChannel;
 
@@ -150,152 +149,58 @@ TEST(WeightedChannel, RebaseAcrossConcurrentMixedWeights)
     EXPECT_NEAR(ch.progressedBytes(), kA + kB, 2.0);
 }
 
-TEST(WeightedChannel, EqualWeightsBitIdenticalToEgalitarian)
+// ------------------------------------------------ policy validation
+
+TEST(PriorityPolicyValidation, RatiosGiveFiniteRunsOrConfigError)
 {
-    // The same staggered begin/abort script on a Weighted and an
-    // Egalitarian channel must produce *bit-identical* completion
-    // timestamps — unit weights make the arithmetic reduce
-    // term-for-term.
-    auto run = [](ChannelFairness fairness) {
-        EventQueue q;
-        SharedChannel ch(q, 37.5, fairness);
-        std::vector<TimeNs> times;
-        SharedChannel::TransferId victim = 0;
-        for (int i = 0; i < 6; ++i) {
-            q.scheduleAfter(static_cast<TimeNs>(i) * 13.0, [&, i] {
-                const auto id = ch.begin(
-                    1.0e5 * (i + 1) + 0.37 * i,
-                    [&] { times.push_back(q.now()); });
-                if (i == 3)
-                    victim = id;
-            });
+    // Every weight ratio either builds a policy whose runs stay finite
+    // or is refused with a ConfigError: never a NaN delay or a panic.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    int accepted = 0;
+    for (double ratio : {nan, inf, -inf, 1e308, 0.5, 1.0, 4.0, 1e6}) {
+        PriorityPolicy policy;
+        try {
+            policy = PriorityPolicy::tiered(ratio);
+        } catch (const ConfigError&) {
+            continue;
         }
-        q.scheduleAfter(5000.0, [&] { ch.abort(victim); });
-        q.run();
-        ch.sync();
-        times.push_back(ch.progressedBytes());
-        times.push_back(ch.busyTime());
-        return times;
-    };
-    const auto weighted = run(ChannelFairness::Weighted);
-    const auto egalitarian = run(ChannelFairness::Egalitarian);
-    ASSERT_EQ(weighted.size(), egalitarian.size());
-    for (std::size_t i = 0; i < weighted.size(); ++i)
-        EXPECT_EQ(weighted[i], egalitarian[i]) << "index " << i;
-}
-
-// ------------------------------------------- runtime equivalence
-
-runtime::RuntimeConfig
-withChannelMode(runtime::RuntimeConfig cfg, bool egalitarian)
-{
-    cfg.legacy_egalitarian_channel = egalitarian;
-    return cfg;
-}
-
-struct RunOutcome
-{
-    TimeNs duration = 0.0;
-    double util = 0.0;
-
-    bool
-    operator==(const RunOutcome& o) const
-    {
-        return duration == o.duration && util == o.util;
-    }
-};
-
-RunOutcome
-runOnce(const Topology& topo, const runtime::RuntimeConfig& cfg,
-        CollectiveType type, Bytes size, int chunks)
-{
-    EventQueue queue;
-    runtime::CommRuntime comm(queue, topo, cfg);
-    CollectiveRequest req;
-    req.type = type;
-    req.size = size;
-    req.chunks = chunks;
-    const int id = comm.issue(req);
-    queue.run();
-    comm.finalizeStats();
-    return RunOutcome{comm.record(id).duration(),
-                      comm.utilization().weightedUtilization()};
-}
-
-TEST(EgalitarianEquivalence, Fig08SizeSweepBitIdentical)
-{
-    // The fig08 harness shape: All-Reduce size sweep across the three
-    // Table 3 scheduler configs. Weighted (all-unit weights) vs the
-    // pre-refactor egalitarian channel must match bit-for-bit.
-    const Topology topo = presets::byName("2D-SW_SW");
-    const std::vector<runtime::RuntimeConfig> cfgs = {
-        runtime::baselineConfig(), runtime::themisFifoConfig(),
-        runtime::themisScfConfig()};
-    for (const auto& cfg : cfgs) {
-        for (Bytes size : {1.0e8, 5.0e8, 1.0e9}) {
-            const RunOutcome weighted =
-                runOnce(topo, withChannelMode(cfg, false),
-                        CollectiveType::AllReduce, size, 64);
-            const RunOutcome egalitarian =
-                runOnce(topo, withChannelMode(cfg, true),
-                        CollectiveType::AllReduce, size, 64);
-            EXPECT_TRUE(weighted == egalitarian)
-                << "size " << size << ": " << weighted.duration
-                << " vs " << egalitarian.duration;
+        ++accepted;
+        runtime::RuntimeConfig cfg = runtime::themisScfConfig();
+        cfg.scheduler = SchedulerKind::ThemisPriority;
+        cfg.priority = policy;
+        EventQueue queue;
+        runtime::CommRuntime comm(queue, presets::byName("2D-SW_SW"), cfg);
+        for (const auto tier : {PriorityTier::Bulk, PriorityTier::Urgent}) {
+            CollectiveRequest req;
+            req.type = CollectiveType::AllReduce;
+            req.size = 1.0e8;
+            req.priority_tier = static_cast<int>(tier);
+            comm.issue(req);
         }
+        queue.run();
+        for (const auto& rec : comm.records())
+            EXPECT_TRUE(std::isfinite(rec.duration()) &&
+                        rec.duration() > 0.0)
+                << "ratio " << ratio;
     }
+    EXPECT_EQ(accepted, 3);
+    EXPECT_THROW(PriorityPolicy::tiered(nan), ConfigError);
+    EXPECT_THROW(PriorityPolicy::tiered(inf), ConfigError);
+    // 1e308 is finite, but its urgent weight 1e308^2 is not.
+    EXPECT_THROW(PriorityPolicy::tiered(1e308), ConfigError);
 }
 
-TEST(EgalitarianEquivalence, Fig10ChunkSweepBitIdentical)
+TEST(PriorityPolicyValidation, CustomWeightsMustBeFiniteWithFiniteSum)
 {
-    // The fig10 harness shape: chunks-per-collective sensitivity,
-    // including enforced consistent orders (shadow simulation runs
-    // through the same channels).
-    const Topology topo = presets::byName("3D-SW_SW_SW_homo");
-    for (int chunks : {4, 16, 64}) {
-        for (bool enforce : {false, true}) {
-            runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-            cfg.enforce_consistent_order = enforce;
-            const RunOutcome weighted =
-                runOnce(topo, withChannelMode(cfg, false),
-                        CollectiveType::AllReduce, 5.0e8, chunks);
-            const RunOutcome egalitarian =
-                runOnce(topo, withChannelMode(cfg, true),
-                        CollectiveType::AllReduce, 5.0e8, chunks);
-            EXPECT_TRUE(weighted == egalitarian)
-                << chunks << " chunks, enforce " << enforce;
-        }
-    }
-}
-
-TEST(EgalitarianEquivalence, Fig12TrainingIterationBitIdentical)
-{
-    // The fig12 harness shape: a full training iteration (compute +
-    // blocking/non-blocking collectives with tier tags) must be
-    // unaffected by the channel formulation under the default uniform
-    // policy.
-    const Topology topo = presets::byName("2D-SW_SW");
-    const auto workloads = models::paperWorkloads();
-    ASSERT_GE(workloads.size(), 2u);
-    for (std::size_t w = 0; w < 2; ++w) {
-        auto run_iter = [&](bool egalitarian) {
-            EventQueue queue;
-            runtime::CommRuntime comm(
-                queue, topo,
-                withChannelMode(runtime::themisScfConfig(),
-                                egalitarian));
-            workload::TrainingLoop loop(comm,
-                                        models::byName(workloads[w]));
-            return loop.runIteration();
-        };
-        const auto a = run_iter(false);
-        const auto b = run_iter(true);
-        EXPECT_EQ(a.fwd_compute, b.fwd_compute) << workloads[w];
-        EXPECT_EQ(a.bwd_compute, b.bwd_compute) << workloads[w];
-        EXPECT_EQ(a.exposed_mp, b.exposed_mp) << workloads[w];
-        EXPECT_EQ(a.exposed_dp, b.exposed_dp) << workloads[w];
-        EXPECT_EQ(a.total, b.total) << workloads[w];
-    }
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(PriorityPolicy::custom({1.0, inf, 1.0}), ConfigError);
+    EXPECT_THROW(PriorityPolicy::custom({1.0, nan, 1.0}), ConfigError);
+    EXPECT_THROW(PriorityPolicy::custom({1.0, 0.0, 1.0}), ConfigError);
+    EXPECT_THROW(PriorityPolicy::custom({1.0, 1e308, 1e308}),
+                 ConfigError);
+    EXPECT_NO_THROW(PriorityPolicy::custom({1.0, 2.0, 1e300}));
 }
 
 // ------------------------------------------------ engine tiering

@@ -6,11 +6,9 @@ previous CI run's uploaded artifacts and fails (exit 1) when a tracked
 throughput metric regressed by more than the allowed fraction.
 
 Tracked metrics (higher is better):
-  BENCH_core.json  -> events_per_sec of the "gps" channel rows and the
-                      event_queue row (keyed by impl/transfers)
-  BENCH_e2e.json   -> cells_per_sec of the "optimized" mode (the
-                      "baseline" mode measures deliberately disabled
-                      optimizations, so it is reported but not gated)
+  BENCH_core.json  -> events_per_sec of the GPS channel rows (keyed by
+                      transfers) and the event_queue row
+  BENCH_e2e.json   -> cells_per_sec of the Fig 12 grid sweep
   BENCH_convergence.json -> cells_per_sec of the 20-iteration fig12
                       convergence grid (the replay speedup — a ratio
                       of two wall clocks — is historized and printed
@@ -101,7 +99,9 @@ def load(path):
 
 
 def core_metrics(doc):
-    """{label: events_per_sec} for the fast-path rows of BENCH_core."""
+    """{label: events_per_sec} for the GPS and event-queue rows of
+    BENCH_core (files from before the seed-channel rows were dropped
+    also carry "legacy" rows, which are skipped)."""
     out = {}
     for row in doc.get("channel", []):
         if row.get("impl") == "gps":
@@ -114,11 +114,8 @@ def core_metrics(doc):
 
 
 def e2e_metrics(doc):
-    """{label: cells_per_sec} for the optimized mode of BENCH_e2e."""
-    out = {}
-    for mode in doc.get("modes", []):
-        if mode.get("mode") == "optimized":
-            out["e2e/optimized"] = mode.get("cells_per_sec")
+    """{label: cells_per_sec} for the grid sweep of BENCH_e2e."""
+    out = {"e2e/cells_per_sec": doc.get("cells_per_sec")}
     return {k: v for k, v in out.items() if isinstance(v, (int, float))}
 
 
