@@ -32,19 +32,6 @@ using namespace themis;
 
 namespace {
 
-/** Zero-latency 1-dim platform pooling all of @p topo's bandwidth. */
-Topology
-idealTopology(const Topology& topo)
-{
-    DimensionConfig d;
-    d.kind = DimKind::Switch;
-    d.size = static_cast<int>(topo.totalNpus());
-    d.link_bw_gbps = bwToGbps(topo.totalBandwidth());
-    d.links_per_npu = 1;
-    d.step_latency_ns = 0.0;
-    return Topology(topo.name() + "-ideal", {d});
-}
-
 struct ModeRun
 {
     workload::ConvergenceReport report;
@@ -167,7 +154,7 @@ main()
     const auto workloads = models::paperWorkloads();
     std::vector<Topology> ideal_topos;
     for (const auto& t : topos)
-        ideal_topos.push_back(idealTopology(t));
+        ideal_topos.push_back(presets::idealTopology(t));
     const int kGridIterations = 20;
     const std::size_t cells =
         workloads.size() * topos.size() * methods.size();

@@ -39,19 +39,6 @@ namespace {
  */
 constexpr std::uint64_t kGridDigest = 0xee2cfa05ca84f849ULL;
 
-/** Zero-latency 1-dim platform pooling all of @p topo's bandwidth. */
-Topology
-idealTopology(const Topology& topo)
-{
-    DimensionConfig d;
-    d.kind = DimKind::Switch;
-    d.size = static_cast<int>(topo.totalNpus());
-    d.link_bw_gbps = bwToGbps(topo.totalBandwidth());
-    d.links_per_npu = 1;
-    d.step_latency_ns = 0.0;
-    return Topology(topo.name() + "-ideal", {d});
-}
-
 struct MethodDef
 {
     const char* name;
@@ -138,20 +125,15 @@ main()
     grid.workloads = models::paperWorkloads();
     grid.topologies = presets::nextGenTopologies();
     for (const auto& topo : grid.topologies)
-        grid.ideal_topologies.push_back(idealTopology(topo));
+        grid.ideal_topologies.push_back(presets::idealTopology(topo));
     grid.methods = {{"Baseline", runtime::baselineConfig(), false},
                     {"Themis+SCF", runtime::themisScfConfig(), false},
                     {"Ideal", runtime::themisScfConfig(), true}};
 
     const GridRun run = runGrid(grid);
     Fnv1a digest;
-    for (const auto& it : run.results) {
-        digest.mix(it.fwd_compute);
-        digest.mix(it.bwd_compute);
-        digest.mix(it.exposed_mp);
-        digest.mix(it.exposed_dp);
-        digest.mix(it.total);
-    }
+    for (const auto& it : run.results)
+        workload::mixBreakdown(digest, it);
     THEMIS_ASSERT(digest.value() == kGridDigest,
                   "grid digest " << std::hex << digest.value()
                                  << " != pinned " << kGridDigest);

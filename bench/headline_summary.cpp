@@ -18,22 +18,6 @@
 
 using namespace themis;
 
-namespace {
-
-Topology
-idealTopology(const Topology& topo)
-{
-    DimensionConfig d;
-    d.kind = DimKind::Switch;
-    d.size = static_cast<int>(topo.totalNpus());
-    d.link_bw_gbps = bwToGbps(topo.totalBandwidth());
-    d.links_per_npu = 1;
-    d.step_latency_ns = 0.0;
-    return Topology(topo.name() + "-ideal", {d});
-}
-
-} // namespace
-
 int
 main()
 {
@@ -114,7 +98,7 @@ main()
             const auto base = run(topo, runtime::baselineConfig());
             const auto scf = run(topo, runtime::themisScfConfig());
             const auto ideal =
-                run(idealTopology(topo), runtime::themisScfConfig());
+                run(presets::idealTopology(topo), runtime::themisScfConfig());
             const double speedup = base.total / scf.total;
             sum += speedup;
             mx = std::max(mx, speedup);

@@ -1,15 +1,8 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 namespace themis::sim {
-
-namespace {
-
-/** Children per heap node. Four halves the depth of a binary heap;
- *  the children sit side by side, so a level costs about one cache
- *  miss. Pops of large populations run ~1.4x faster than binary. */
-constexpr std::size_t kArity = 4;
-
-} // namespace
 
 std::uint32_t
 EventQueue::allocSlot()
@@ -22,6 +15,7 @@ EventQueue::allocSlot()
     }
     THEMIS_ASSERT(slots_.size() < kNoSlot, "event slab exhausted");
     slots_.emplace_back();
+    filed_.push_back(Filed{kNoBucket, 0});
     return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -34,7 +28,7 @@ EventQueue::releaseSlot(std::uint32_t idx)
     slot.destroy = nullptr;
     ++slot.generation; // stale ids and pending entries now miss
     slot.next_free = free_head_;
-    slot.heap_pos = kNoSlot;
+    filed_[idx].bucket = kNoBucket;
     free_head_ = idx;
 }
 
@@ -64,92 +58,128 @@ EventQueue::cancel(EventId id)
     Slot& slot = slots_[idx];
     if (slot.invoke == nullptr || slot.generation != generation)
         return; // already fired/cancelled (or slot since recycled)
-    // Entries collected into a firing cohort are no longer in the
-    // heap; releasing the slot makes the run loop skip them.
-    if (slot.heap_pos != kNoSlot)
-        removeAt(slot.heap_pos);
+    // Entries collected into a firing cohort are no longer filed;
+    // releasing the slot makes the run loop skip them.
+    const Filed where = filed_[idx];
+    if (where.bucket != kNoBucket)
+        removeAt(where.bucket, where.index);
     slot.destroy(slot.storage);
     releaseSlot(idx);
     --live_events_;
 }
 
-void
-EventQueue::heapPlace(std::size_t pos, const Entry& e)
+std::uint32_t
+EventQueue::lowestBucket() const
 {
-    heap_[pos] = e;
-    slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+    for (std::size_t w = 0; w < kMaskWords; ++w) {
+        if (occupied_[w] != 0)
+            return static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(
+                             __builtin_ctzll(occupied_[w])));
+    }
+    return kNoBucket;
 }
 
 void
-EventQueue::siftUp(std::size_t pos)
+EventQueue::markOccupied(std::uint32_t b)
 {
-    const Entry e = heap_[pos];
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / kArity;
-        if (!earlier(e, heap_[parent]))
-            break;
-        heapPlace(pos, heap_[parent]);
-        pos = parent;
-    }
-    heapPlace(pos, e);
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 
 void
-EventQueue::siftDown(std::size_t pos)
+EventQueue::markEmpty(std::uint32_t b)
 {
-    const Entry e = heap_[pos];
-    const std::size_t n = heap_.size();
-    while (true) {
-        const std::size_t first = kArity * pos + 1;
-        if (first >= n)
-            break;
-        const std::size_t last = first + kArity < n ? first + kArity : n;
-        std::size_t child = first;
-        for (std::size_t c = first + 1; c < last; ++c)
-            if (earlier(heap_[c], heap_[child]))
-                child = c;
-        if (!earlier(heap_[child], e))
-            break;
-        heapPlace(pos, heap_[child]);
-        pos = child;
-    }
-    heapPlace(pos, e);
+    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+}
+
+void
+EventQueue::file(std::uint32_t b, const Entry& e)
+{
+    auto& bucket = buckets_[b];
+    filed_[e.slot] = Filed{b, static_cast<std::uint32_t>(bucket.size())};
+    bucket.push_back(e);
+    markOccupied(b);
 }
 
 void
 EventQueue::pushEntry(const Entry& e)
 {
-    heap_.push_back(e);
-    siftUp(heap_.size() - 1);
-}
-
-void
-EventQueue::removeAt(std::size_t pos)
-{
-    THEMIS_ASSERT(pos < heap_.size(), "heap back-pointer out of range");
-    slots_[heap_[pos].slot].heap_pos = kNoSlot;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size())
+    const std::uint64_t key = keyOf(e.when);
+    THEMIS_ASSERT(key >= floor_, "timestamp " << e.when
+                                              << " below the queue floor");
+    const std::uint64_t diff = key ^ floor_;
+    if (diff == 0) {
+        file(0, e);
         return;
-    // The former last entry fills the hole and moves whichever way
-    // restores the order (its slot is live: no entry outlives its
-    // slot, so the back-pointer fix-up is safe).
-    heap_[pos] = last;
-    if (pos > 0 && earlier(last, heap_[(pos - 1) / kArity]))
-        siftUp(pos);
-    else
-        siftDown(pos);
+    }
+    const unsigned high_bit = 63 - static_cast<unsigned>(__builtin_clzll(diff));
+    const unsigned level = high_bit / kDigitBits;
+    const std::uint64_t digit = (key >> (level * kDigitBits)) & (kRadix - 1);
+    file(static_cast<std::uint32_t>(1 + level * kRadix + digit), e);
 }
 
 void
-EventQueue::collectCohortAt(TimeNs when, std::vector<Entry>& cohort)
+EventQueue::removeAt(std::uint32_t b, std::uint32_t index)
 {
-    // Equal-timestamp entries leave the heap in sequence order.
-    while (!heap_.empty() && heap_.front().when == when) {
-        cohort.push_back(heap_.front());
-        removeAt(0);
+    auto& bucket = buckets_[b];
+    THEMIS_ASSERT(index < bucket.size(), "bucket back-pointer out of range");
+    filed_[bucket[index].slot].bucket = kNoBucket;
+    if (index + 1 != bucket.size()) {
+        // The moved entry's slot is live (no entry outlives its slot),
+        // so its back-pointer is safe to fix.
+        bucket[index] = bucket.back();
+        filed_[bucket[index].slot].index = index;
     }
+    bucket.pop_back();
+    if (bucket.empty())
+        markEmpty(b);
+}
+
+bool
+EventQueue::earliestKey(std::uint64_t& key) const
+{
+    const std::uint32_t b = lowestBucket();
+    if (b == kNoBucket)
+        return false;
+    if (b == 0) {
+        key = floor_;
+        return true;
+    }
+    key = keyOf(buckets_[b].front().when);
+    for (const Entry& e : buckets_[b])
+        key = std::min(key, keyOf(e.when));
+    return true;
+}
+
+void
+EventQueue::collectCohort(std::uint64_t key, std::vector<Entry>& cohort)
+{
+    if (key != floor_) {
+        // Raise the floor to the minimum, which lives in the lowest
+        // non-empty bucket; re-file that bucket against the new floor.
+        // Its entries agree with both floors above their level and
+        // with the new floor at it, so each lands in a strictly lower
+        // bucket, and every other bucket stays valid untouched.
+        const std::uint32_t b = lowestBucket();
+        floor_ = key;
+        refile_scratch_.swap(buckets_[b]);
+        markEmpty(b);
+        for (const Entry& e : refile_scratch_)
+            pushEntry(e);
+        refile_scratch_.clear();
+    }
+    // Bucket 0 now holds exactly the entries at the floor timestamp.
+    cohort.swap(buckets_[0]);
+    markEmpty(0);
+    for (const Entry& e : cohort)
+        filed_[e.slot].bucket = kNoBucket;
+    // Appends and re-filing keep a bucket in sequence order; only
+    // cancels (swap-removal) and re-pushed cohort remainders break it.
+    const auto bySeq = [](const Entry& a, const Entry& c) {
+        return a.seq < c.seq;
+    };
+    if (!std::is_sorted(cohort.begin(), cohort.end(), bySeq))
+        std::sort(cohort.begin(), cohort.end(), bySeq);
 }
 
 std::size_t
@@ -159,13 +189,15 @@ EventQueue::runCohorts(TimeNs until, bool bounded)
     // Steal the scratch buffer so a handler that re-enters run()
     // (never done today, but harmless) gets a fresh one.
     std::vector<Entry> cohort = std::move(cohort_scratch_);
-    while (!heap_.empty()) {
-        const TimeNs when = heap_.front().when;
-        if (bounded && when > until)
-            break;
+    std::uint64_t key = 0;
+    while (earliestKey(key)) {
         cohort.clear();
-        collectCohortAt(when, cohort);
-        now_ = when;
+        if (bounded && timeOf(key) > until)
+            break;
+        collectCohort(key, cohort);
+        THEMIS_ASSERT(!cohort.empty(), "earliest pending key " << key
+                                           << " filed off bucket 0");
+        now_ = cohort.front().when;
         // If a handler throws (sweep jobs legitimately propagate
         // ConfigError through run()), the not-yet-fired remainder of
         // the cohort goes back into the pending store so the queue
@@ -185,8 +217,8 @@ EventQueue::runCohorts(TimeNs until, bool bounded)
                 for (std::size_t i = next; i < cohort->size(); ++i) {
                     const Entry& e = (*cohort)[i];
                     // Skip entries an earlier cohort member cancelled:
-                    // re-pushing one would write a heap back-pointer
-                    // into a freed (possibly reallocated) slot.
+                    // re-filing one would write a back-pointer into a
+                    // freed (possibly reallocated) slot.
                     if (!queue->entryStale(e))
                         queue->pushEntry(e);
                 }
@@ -247,17 +279,23 @@ EventQueue::rebaseToZero()
                   "rebasing a queue with " << live_events_
                                            << " pending events");
     // cancel() removes entries eagerly and firing removes them on
-    // collection, so an empty queue holds no heap entries.
-    THEMIS_ASSERT(heap_.empty(), "heap holds entries of no live event");
+    // collection, so an empty queue holds no filed entries.
+    THEMIS_ASSERT(lowestBucket() == kNoBucket,
+                  "buckets hold entries of no live event");
     now_ = 0.0;
+    floor_ = 0;
 }
 
 void
 EventQueue::reset()
 {
     releaseAll();
-    heap_.clear();
+    for (auto& bucket : buckets_)
+        bucket.clear();
+    occupied_ = {};
+    floor_ = 0;
     slots_.clear();
+    filed_.clear();
     free_head_ = kNoSlot;
     now_ = 0.0;
     next_seq_ = 1;

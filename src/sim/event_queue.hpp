@@ -16,9 +16,15 @@
  * O(1) and a stale id from a previous tenant of the slot can never
  * cancel the current one.
  *
- * The pending set is an indexed 4-ary heap over (timestamp, sequence)
- * entries. Each slot records its entry's heap position, so cancel()
- * removes the entry eagerly in O(log n) and the heap never holds a
+ * The pending set is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+ * 1990) over the timestamps' bit patterns, with 16-way digits.
+ * Simulated time never moves backwards, so every new timestamp is >=
+ * the last one popped (the floor), and an entry is filed by the
+ * highest digit in which its timestamp differs from the floor and by
+ * its own value of that digit. Scheduling is O(1); popping re-files
+ * only the lowest non-empty bucket, each entry at most once per
+ * digit. Each slot records its entry's bucket and position, so
+ * cancel() removes the entry eagerly in O(1) and no bucket holds a
  * cancelled event. The run loops pop whole same-timestamp cohorts at
  * once, in sequence order.
  */
@@ -26,8 +32,10 @@
 #ifndef THEMIS_SIM_EVENT_QUEUE_HPP
 #define THEMIS_SIM_EVENT_QUEUE_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -167,12 +175,18 @@ class EventQueue
         void (*destroy)(void*) = nullptr;
         std::uint32_t generation = 0;
         std::uint32_t next_free = kNoSlot;
-        /**
-         * Heap back-pointer: position of this event's pending entry,
-         * so cancel() removes it eagerly (kNoSlot = not in the heap,
-         * e.g. already collected into a firing cohort).
-         */
-        std::uint32_t heap_pos = kNoSlot;
+    };
+
+    /**
+     * Where a slot's pending entry is filed, so cancel() removes it
+     * eagerly (bucket kNoBucket = not filed, e.g. already collected
+     * into a firing cohort). Kept apart from the slab: re-filing a
+     * bucket touches this dense array, not one slot per entry.
+     */
+    struct Filed
+    {
+        std::uint32_t bucket;
+        std::uint32_t index;
     };
 
     struct Entry
@@ -183,16 +197,44 @@ class EventQueue
         std::uint32_t generation;
     };
 
-    /** Firing order: timestamp, then scheduling sequence. */
-    static bool
-    earlier(const Entry& a, const Entry& b)
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+    static constexpr std::uint32_t kNoBucket = 0xffffffffu;
+
+    /**
+     * Bucket geometry. Bucket 0 holds the entries at the floor
+     * timestamp. A key that first differs from the floor in digit
+     * `level` (counting kDigitBits-bit digits from the low end), where
+     * its own digit is `d`, goes to bucket 1 + level * kRadix + d. So
+     * every key in a bucket is below every key in a higher-numbered
+     * one, and the lowest non-empty bucket holds the minimum. Wider
+     * digits mean fewer re-filings per entry but more buckets to skip.
+     */
+    static constexpr unsigned kDigitBits = 4;
+    static constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+    static constexpr std::size_t kBuckets = 1 + 64 / kDigitBits * kRadix;
+    static constexpr std::size_t kMaskWords = (kBuckets + 63) / 64;
+
+    /** Order-preserving key of a non-negative timestamp: its bit
+     *  pattern (-0.0 folds onto +0.0). */
+    static std::uint64_t
+    keyOf(TimeNs when)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
+        if (when == 0.0)
+            return 0;
+        std::uint64_t bits = 0;
+        static_assert(sizeof(bits) == sizeof(when), "double is 64-bit");
+        std::memcpy(&bits, &when, sizeof(bits));
+        return bits;
     }
 
-    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+    /** Inverse of keyOf(). */
+    static TimeNs
+    timeOf(std::uint64_t key)
+    {
+        TimeNs when = 0.0;
+        std::memcpy(&when, &key, sizeof(when));
+        return when;
+    }
 
     static EventId
     makeId(std::uint32_t slot, std::uint32_t generation)
@@ -233,19 +275,28 @@ class EventQueue
         return slot.invoke == nullptr || slot.generation != e.generation;
     }
 
+    /** Lowest non-empty bucket, or kNoBucket when all are empty. */
+    std::uint32_t lowestBucket() const;
+    void markOccupied(std::uint32_t b);
+    void markEmpty(std::uint32_t b);
+    /** File @p e (timestamp >= the floor) into its bucket. */
     void pushEntry(const Entry& e);
-    /** Store @p e at heap position @p pos and point its slot there. */
-    void heapPlace(std::size_t pos, const Entry& e);
-    void siftUp(std::size_t pos);
-    void siftDown(std::size_t pos);
-    /** Remove the entry at heap position @p pos, clearing its slot's
-     *  back-pointer and restoring the heap order. */
-    void removeAt(std::size_t pos);
+    /** Append @p e to bucket @p b and point its slot there. */
+    void file(std::uint32_t b, const Entry& e);
+    /** Remove the entry at (@p b, @p index), clearing its slot's
+     *  back-pointer; the bucket's last entry fills the hole. */
+    void removeAt(std::uint32_t b, std::uint32_t index);
     /**
-     * Remove every entry with timestamp exactly @p when (the heap
-     * top's) into @p cohort, in sequence order.
+     * Key of the earliest pending entry, or false when none is
+     * pending. Reads only: the floor stays put, so a bounded run that
+     * stops short never raises it past now().
      */
-    void collectCohortAt(TimeNs when, std::vector<Entry>& cohort);
+    bool earliestKey(std::uint64_t& key) const;
+    /**
+     * Raise the floor to @p key (the earliest pending key) and move
+     * every entry at that timestamp into @p cohort, in sequence order.
+     */
+    void collectCohort(std::uint64_t key, std::vector<Entry>& cohort);
     /** Shared run loop; fires whole same-timestamp cohorts at once. */
     std::size_t runCohorts(TimeNs until, bool bounded);
 
@@ -255,10 +306,19 @@ class EventQueue
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNoSlot;
 
-    /** Pending entries in heap order. cancel() removes entries
-     *  eagerly, so no entry ever outlives its slot — the invariant
-     *  the back-pointer fix-ups rely on. */
-    std::vector<Entry> heap_;
+    /** Per-slot back-pointers into buckets_ (see Filed). */
+    std::vector<Filed> filed_;
+
+    /** Pending entries by bucket, unordered within one. cancel()
+     *  removes entries eagerly, so no entry ever outlives its slot —
+     *  the invariant the back-pointer fix-ups rely on. */
+    std::array<std::vector<Entry>, kBuckets> buckets_;
+    /** Bit b % 64 of word b / 64 set iff bucket b is non-empty. */
+    std::array<std::uint64_t, kMaskWords> occupied_{};
+    /** Key of the last popped timestamp; every pending key is >= it. */
+    std::uint64_t floor_ = 0;
+    /** Holds a bucket's entries while they are re-filed. */
+    std::vector<Entry> refile_scratch_;
 
     std::vector<Entry> cohort_scratch_;
 };

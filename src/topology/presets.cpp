@@ -101,6 +101,14 @@ allTopologies()
 }
 
 Topology
+idealTopology(const Topology& topo)
+{
+    return Topology(topo.name() + "-ideal",
+                    {dim(DimKind::Switch, static_cast<int>(topo.totalNpus()),
+                         bwToGbps(topo.totalBandwidth()), 1, 0.0)});
+}
+
+Topology
 byName(const std::string& name)
 {
     const std::string n = toLower(name);

@@ -50,6 +50,13 @@ std::vector<Topology> nextGenTopologies();
 std::vector<Topology> allTopologies();
 
 /**
+ * Table 3's Ideal platform for @p topo: one zero-latency switch
+ * dimension over all its NPUs carrying its total bandwidth, so a
+ * collective takes exactly size / total BW.
+ */
+Topology idealTopology(const Topology& topo);
+
+/**
  * Look up a preset by its paper name (case-insensitive), e.g.
  * "3D-SW_SW_SW_homo" or "Current-2D". Throws ConfigError if unknown.
  */

@@ -28,6 +28,16 @@ bitIdentical(const IterationBreakdown& a, const IterationBreakdown& b)
            bitEquals(a.total, b.total);
 }
 
+void
+mixBreakdown(Fnv1a& h, const IterationBreakdown& b)
+{
+    h.mix(b.fwd_compute);
+    h.mix(b.bwd_compute);
+    h.mix(b.exposed_mp);
+    h.mix(b.exposed_dp);
+    h.mix(b.total);
+}
+
 TrainingLoop::TrainingLoop(runtime::CommRuntime& comm, ModelGraph model,
                            RooflineConfig roofline)
     : comm_(comm), model_(std::move(model)), roofline_(roofline)

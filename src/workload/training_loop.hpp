@@ -23,6 +23,7 @@
 
 #include <map>
 
+#include "common/hash.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "workload/model_graph.hpp"
 #include "workload/roofline.hpp"
@@ -57,6 +58,13 @@ struct IterationBreakdown
  */
 bool bitIdentical(const IterationBreakdown& a,
                   const IterationBreakdown& b);
+
+/**
+ * Mix the five fields of @p b into @p h by exact bit pattern, in
+ * declaration order. Folded over a grid's cells in order, this is the
+ * Fig 12 grid digest the end-to-end bench and the golden tests pin.
+ */
+void mixBreakdown(Fnv1a& h, const IterationBreakdown& b);
 
 /** Drives training iterations of one model on one platform. */
 class TrainingLoop

@@ -315,13 +315,19 @@ class RefQueue
     run()
     {
         std::size_t fired = 0;
-        while (!pending_.empty()) {
-            Pending p = std::move(pending_.front());
-            pending_.erase(pending_.begin());
-            now_ = p.when;
-            p.handler();
-            ++fired;
-        }
+        while (!pending_.empty())
+            fired += fireFront();
+        return fired;
+    }
+
+    std::size_t
+    runUntil(TimeNs until)
+    {
+        std::size_t fired = 0;
+        while (!pending_.empty() && pending_.front().when <= until)
+            fired += fireFront();
+        if (now_ < until)
+            now_ = until;
         return fired;
     }
 
@@ -337,6 +343,16 @@ class RefQueue
     earlier(const Pending& a, const Pending& b)
     {
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    std::size_t
+    fireFront()
+    {
+        Pending p = std::move(pending_.front());
+        pending_.erase(pending_.begin());
+        now_ = p.when;
+        p.handler();
+        return 1;
     }
 
     TimeNs now_ = 0.0;
@@ -453,6 +469,41 @@ TEST(EventQueue, MatchesReferenceUnderRandomCancelRescheduleChurn)
             q.run();
         });
     }
+}
+
+TEST(EventQueue, MatchesReferenceAcrossRunUntilSteps)
+{
+    // Bounded runs that stop short of the next event, then schedule
+    // between the clock and that event: the pending set must not have
+    // moved past now(). Timestamps span zero (both signs), dense
+    // duplicates and powers-of-two boundaries; handlers add more.
+    checkAgainstReference([](auto& q, Trace& trace) {
+        Lcg next{11};
+        int marker = 0;
+        auto fire = [&trace, &q](int m) {
+            return [&trace, &q, m] { trace.emplace_back(q.now(), m); };
+        };
+        q.schedule(-0.0, fire(marker++));
+        q.schedule(0.0, fire(marker++));
+        q.schedule(4096.0, fire(marker++));
+        for (int step = 0; step < 300; ++step) {
+            for (int k = 0; k < 4; ++k) {
+                const std::uint64_t r = next();
+                const double delay =
+                    r % 5 == 0 ? 0.0
+                               : static_cast<double>(r % 4096) *
+                                     (r % 3 == 0 ? 0.25 : 8.0);
+                const int m = marker++;
+                q.scheduleAfter(delay, [&trace, &q, m, delay, fire] {
+                    trace.emplace_back(q.now(), m);
+                    if (m % 7 == 0)
+                        q.scheduleAfter(delay / 2, fire(-m));
+                });
+            }
+            q.runUntil(q.now() + static_cast<double>(next() % 1500));
+        }
+        q.run();
+    });
 }
 
 TEST(EventQueue, SparseFarApartEvents)

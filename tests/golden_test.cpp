@@ -40,6 +40,7 @@ namespace {
 using runtime::CommRuntime;
 using runtime::RuntimeConfig;
 using workload::IterationBreakdown;
+using workload::mixBreakdown;
 
 std::string
 hex(std::uint64_t v)
@@ -57,16 +58,6 @@ bits(double v)
     std::uint64_t b = 0;
     std::memcpy(&b, &v, sizeof b);
     return hex(b);
-}
-
-void
-mixBreakdown(Fnv1a& h, const IterationBreakdown& b)
-{
-    h.mix(b.fwd_compute);
-    h.mix(b.bwd_compute);
-    h.mix(b.exposed_mp);
-    h.mix(b.exposed_dp);
-    h.mix(b.total);
 }
 
 /** Digest of every simulation result resultsBitIdentical compares. */
@@ -113,19 +104,6 @@ priorityConfig(double ratio)
 
 // ------------------------------------------------------- fig12 grid
 
-/** Zero-latency one-dimension platform with all of @p topo's bandwidth. */
-Topology
-idealTopology(const Topology& topo)
-{
-    DimensionConfig d;
-    d.kind = DimKind::Switch;
-    d.size = static_cast<int>(topo.totalNpus());
-    d.link_bw_gbps = bwToGbps(topo.totalBandwidth());
-    d.links_per_npu = 1;
-    d.step_latency_ns = 0.0;
-    return Topology(topo.name() + "-ideal", {d});
-}
-
 TEST(Golden, Fig12GridDigest)
 {
     // The 72-cell Fig 12 grid (4 models x 6 next-gen platforms x
@@ -148,7 +126,7 @@ TEST(Golden, Fig12GridDigest)
         graphs.push_back(models::byName(n));
     std::vector<Topology> ideal;
     for (const auto& t : topos)
-        ideal.push_back(idealTopology(t));
+        ideal.push_back(presets::idealTopology(t));
 
     PlanCache cache;
     const std::size_t per_model = topos.size() * methods.size();
