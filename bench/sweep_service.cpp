@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -84,15 +83,13 @@ struct Grid
     std::string
     keyOf(std::size_t i) const
     {
-        char size_buf[64];
-        std::snprintf(size_buf, sizeof(size_buf), "%.17g", kCellSize);
         return sim::makeResultKey(
             {{"topo", topos[topoOf(i)].name()},
              {"sched", setups[schedOf(i)].name},
              {"chunks", std::to_string(chunksOf(i))},
              {"enforce", "0"},
              {"type", "ar"},
-             {"size", size_buf}});
+             {"size", sim::keyDouble(kCellSize)}});
     }
 };
 
@@ -154,19 +151,7 @@ journalPass(const Grid& grid, const std::vector<std::size_t>& cells,
         rec.key = key;
         rec.values = {{"time_ns", run.time},
                       {"util", run.weighted_util}};
-        std::uint64_t h = 14695981039346656037ull;
-        for (const auto& [name, v] : rec.values) {
-            for (char c : name)
-                h = (h ^ static_cast<unsigned char>(c)) *
-                    1099511628211ull;
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(v));
-            std::memcpy(&bits, &v, sizeof(bits));
-            for (int b = 0; b < 8; ++b)
-                h = (h ^ ((bits >> (8 * b)) & 0xff)) *
-                    1099511628211ull;
-        }
-        rec.fingerprint = h;
+        rec.fingerprint = sim::valuesFingerprint(rec.values);
         rec.wall_ms = (bench::nowNs() - c0) / 1e6;
         store.append(std::move(rec));
     }

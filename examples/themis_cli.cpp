@@ -3,132 +3,24 @@
  * Command-line collective simulator: the whole library behind one
  * flag-driven binary, for quick what-if studies on custom platforms.
  *
- * Usage:
- *   themis_cli [options]
- *     --topo NAME|SPEC    Table 2 preset name, or a spec like
- *                         "SW:16:200x6:700,SW:64:800:1700"
- *                         (see topology/parse.hpp)   [3D-SW_SW_SW_homo]
- *     --type ar|rs|ag|a2a collective pattern          [ar]
- *     --size BYTES        per-NPU collective size     [1e9]
- *     --chunks N          chunks per collective       [64]
- *     --sched base|fifo|scf                           [scf]
- *     --enforce           pre-simulate & enforce chunk-op orders
- *     --sweep C1,C2,...   sweep those chunk counts across all three
- *                         schedulers in parallel (worker threads)
- *     --grid T1;T2;...    sweep a semicolon-separated topology list
- *                         (preset names and/or specs) across all
- *                         three schedulers — and across the --sweep
- *                         chunk counts when given — sharing one plan
- *                         cache across the grid's workers; malformed
- *                         entries are rejected with an entry/column
- *                         diagnostic. Cluster mixes (--jobs with
- *                         '|'-separated spec lists) add a jobs axis:
- *                         each cell co-simulates one mix instead of
- *                         one collective
- *     --shard I/N         own only the grid cells whose canonical
- *                         index is congruent to I mod N; run the N
- *                         shards in independent processes and --merge
- *                         their stores back bit-identically
- *     --results PATH      append-only JSONL results store: every
- *                         completed cell streams one record (key,
- *                         values, fingerprint, wall time); on restart
- *                         recorded cells are skipped (crash-safe
- *                         resume, truncated tails dropped)
- *     --max-cells N       stop after simulating N new cells (resume
- *                         testing: interrupt a run deterministically)
- *     --merge OUT,IN...   write the canonical merge of the IN result
- *                         stores to OUT and exit; shards of one grid
- *                         merge byte-equal to the 1-process store
- *     --serve             memoized what-if query loop: read queries
- *                         from stdin (whitespace-separated key=value,
- *                         blank line flushes a batch), simulate
- *                         misses through the warm shared plan cache,
- *                         answer repeats from --results / the session
- *                         without re-simulating, report hit/miss and
- *                         latency stats at EOF. Query keys: topo=
- *                         (required), sched=base|fifo|scf,
- *                         chunks=N, type=ar|rs|ag|a2a, size=BYTES,
- *                         or model=NAME [iters=N] for a convergence
- *                         replay of a training workload
- *     --priority W        two-tenant priority demo on --topo: an
- *                         urgent All-Reduce chain (weight W) vs bulk
- *                         All-Reduces (weight 1) under the
- *                         priority-aware Themis scheduler, with
- *                         per-class utilization and slowdown columns
- *                         (W = 1 shares bandwidth equally; W must
- *                         be a finite number >= 1)
- *     --iterations N      multi-iteration convergence run of --model
- *                         on --topo through the steady-state replay
- *                         engine (identical iterations are detected
- *                         by fingerprint and integrated forward
- *                         analytically instead of re-simulated)
- *     --model NAME        model-zoo workload for --iterations
- *                         [Transformer-1T]
- *     --exact             exactness-check mode: co-run the full
- *                         simulation and assert the replay's
- *                         prediction bit-identical
- *     --no-replay         simulate every iteration (measurement
- *                         baseline; results identical)
- *     --cycle-limit K     largest steady-cycle length (in lockstep
- *                         rounds) the period-k detector may confirm
- *                         (>= 1; default: the job mix's stepping
- *                         hyper-period). With --jobs it also selects
- *                         the lockstep convergence path. Rejected in
- *                         modes that never replay
- *                         (--grid/--sweep/--serve/--priority)
- *     --jobs N|SPECS      N (integer): sweep worker threads
- *                         [hardware concurrency]. Otherwise a
- *                         semicolon-separated multi-job cluster spec
- *                         co-simulated on --topo's shared fabric:
- *                           train:MODEL[,key=val...]
- *                           infer:SIZE[,key=val...]
- *                         keys: arrival=NS, tier=bulk|standard|urgent,
- *                         iterations=N (train; default --iterations
- *                         or 3), period=NS, deadline=NS, requests=N
- *                         (infer; 0 = until training drains).
- *                         Respects --sched/--chunks/--enforce;
- *                         --size/--type are inert (sizes come from
- *                         the specs). Free-running by default; with
- *                         --exact/--no-replay/--cycle-limit the mix
- *                         runs in lockstep rounds through the
- *                         period-k convergence replay engine
- *                         (periodic tenants step every cadence-th
- *                         round, cadence = period / gcd of periods;
- *                         requires open-ended streams, arrival 0 and
- *                         a hyper-period within the cycle limit).
- *                         Incompatible with --sweep/--grid/--priority.
- *     --faults SPEC       fault/heterogeneity timeline applied to the
- *                         single-collective, --iterations and --jobs
- *                         runs (see sim/fault_timeline.hpp):
- *                         ';'-separated events of the form
- *                           degrade@T+D:dim=K,factor=F
- *                           straggler@T:dim=K,factor=F
- *                           flap@T+D:dim=K
- *                           link@T+D:dim=K,index=I
- *                           storm@T+D:dim=K,flaps=N,down=NS[,seed=S]
- *                         A per-dimension fault report (capacity
- *                         steps, flaps, down time, retries, re-sent
- *                         bytes, fatal retry failures) prints after
- *                         the run
- *     --adapt             fault-aware adaptive re-planning: every
- *                         capacity-changing fault event (degrade
- *                         edge, straggler, per-link outage) makes
- *                         newly issued collectives re-plan against
- *                         the degraded per-dim bandwidths; in-flight
- *                         collectives finish under their old plan.
- *                         With no faults the results stay
- *                         bit-identical to the static engine
- *     --replan-threshold T  minimum relative per-dim capacity change
- *                         that triggers a re-plan (hysteresis)
- *                         [0.05]
- *     --tier-ratio W      cluster runs: weight ladder of the priority
- *                         policy (tiered(W); 1 separates classes at
- *                         unit weights) [4]
- *     --offset-search     cluster runs: CASSINI-style phase-offset
- *                         search — shift job start times by fractions
- *                         of an iteration to interleave communication
- *                         bursts; reports every candidate and runs
- *                         the best
+ * Each invocation runs exactly one mode, the first that matches:
+ *
+ *   --merge OUT,IN...  canonical merge of shard result stores
+ *   --serve            memoized what-if query loop over stdin
+ *   --jobs SPECS       multi-job cluster co-simulation on --topo
+ *                      (free-running, or lockstep convergence replay
+ *                      with --exact/--no-replay/--cycle-limit)
+ *   --iterations N     multi-iteration convergence run of --model
+ *   --priority W       two-tenant priority contention demo
+ *   --grid / --sweep   every scheduler across a topology list, chunk
+ *                      counts and --jobs cluster mixes (sharded,
+ *                      resumable, memoized)
+ *   (none)             one collective on --topo
+ *
+ * Every flag is one row of kFlags: its value parser, its help text
+ * and the modes that read it. usage() prints that table (README.md
+ * carries the same flag x mode matrix), and a flag given to a mode
+ * that does not read it is a ConfigError instead of being dropped.
  *
  * Example:
  *   themis_cli --topo "Ring:4:1000x2:20,SW:8:400:1700" --size 2.5e8
@@ -143,19 +35,24 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/string_util.hpp"
 #include "core/ideal_estimator.hpp"
 #include "core/priority_policy.hpp"
@@ -178,30 +75,87 @@
 #include "workload/convergence.hpp"
 
 using namespace themis;
+using stats::telemetry::RunReport;
+using stats::telemetry::Telemetry;
 
 namespace {
 
-[[noreturn]] void
-usage(const char* argv0)
+/** Run modes, one bit each so a flag row can list its readers. */
+enum Mode : unsigned
 {
-    std::fprintf(stderr,
-                 "usage: %s [--topo NAME|SPEC] [--type ar|rs|ag|a2a] "
-                 "[--size BYTES]\n"
-                 "          [--chunks N] [--sched base|fifo|scf] "
-                 "[--enforce]\n"
-                 "          [--sweep C1,C2,...] [--grid T1;T2;...] "
-                 "[--priority W] [--jobs N|SPECS]\n"
-                 "          [--iterations N] [--model NAME] [--exact] "
-                 "[--no-replay] [--cycle-limit K]\n"
-                 "          [--tier-ratio W] [--offset-search] "
-                 "[--faults SPEC]\n"
-                 "          [--adapt] [--replan-threshold T]\n"
-                 "          [--shard I/N] [--results PATH] "
-                 "[--max-cells N]\n"
-                 "          [--merge OUT,IN1,IN2,...] [--serve]\n"
-                 "          [--report PATH] [--trace PATH]\n",
-                 argv0);
-    std::exit(2);
+    kMerge = 1u << 0,
+    kServe = 1u << 1,
+    kCluster = 1u << 2,
+    kIterations = 1u << 3,
+    kPriority = 1u << 4,
+    kGrid = 1u << 5,
+    kSingle = 1u << 6,
+};
+
+/** Modes that drive one runtime (faults, adaptation, tracing). */
+constexpr unsigned kOneRuntime = kSingle | kIterations | kCluster;
+constexpr unsigned kSimulating = kOneRuntime | kPriority | kGrid | kServe;
+constexpr unsigned kAllModes = kSimulating | kMerge;
+
+/** Mode names, in selection order (see pickMode). */
+const std::pair<Mode, const char*> kModeNames[] = {
+    {kMerge, "--merge"},          {kServe, "--serve"},
+    {kCluster, "--jobs cluster"}, {kIterations, "--iterations"},
+    {kPriority, "--priority"},    {kGrid, "--grid/--sweep"},
+    {kSingle, "single-collective"}};
+
+/** Comma-separated names of the modes in @p modes. */
+std::string
+modeNames(unsigned modes)
+{
+    std::vector<std::string> names;
+    for (const auto& [mode, name] : kModeNames)
+        if (modes & mode)
+            names.push_back(name);
+    return join(names, ", ");
+}
+
+/** Every flag value, defaults included (see kFlags). */
+struct Options
+{
+    Mode mode = kSingle;
+    std::string topo = "3D-SW_SW_SW_homo", type = "ar", sched = "scf";
+    std::string model = "Transformer-1T";
+    Bytes size = 1.0e9;
+    int chunks = 64, iterations = 0, max_cells = 0;
+    int cycle_limit = 0; // 0 = auto (job-mix hyper-period)
+    /** --jobs: sweep worker threads (0 = hardware concurrency), or,
+     *  when not an integer, a cluster spec list. */
+    int jobs = 0;
+    std::string jobs_spec;
+    std::string trace, report, sweep, grid, shard, results, merge, faults;
+    std::optional<sim::FaultTimeline> fault_tl;
+    double priority = 0.0, tier_ratio = 4.0, replan_threshold = 0.05;
+    bool enforce = false, validate = false, serve = false;
+    bool offset_search = false, exact = false, no_replay = false;
+    bool adapt = false;
+};
+
+/** Strict integer value of @p flag, at least @p min. */
+int
+intFlag(const std::string& v, const char* flag, int min)
+{
+    const int n = parseInt(v, flag);
+    if (n < min)
+        THEMIS_FATAL(flag << " '" << v << "' must be >= " << min);
+    return n;
+}
+
+/** Strict finite value of @p flag, at least @p min (above when @p strict). */
+double
+numberFlag(const std::string& v, const char* flag, double min,
+           bool strict)
+{
+    const double x = parseNumber(v, flag);
+    if (x < min || (strict && x == min))
+        THEMIS_FATAL(flag << " '" << v << "' must be "
+                          << (strict ? "> " : ">= ") << min);
+    return x;
 }
 
 /**
@@ -210,16 +164,225 @@ usage(const char* argv0)
  * policy does.
  */
 double
-ratioFlag(const char* flag, const std::string& value)
+ratioFlag(const std::string& v, const char* flag)
 {
-    const double ratio = std::atof(value.c_str());
+    const double ratio = parseNumber(v, flag);
     try {
         PriorityPolicy::tiered(ratio);
     } catch (const ConfigError& e) {
-        std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
-        std::exit(1);
+        THEMIS_FATAL(flag << ": " << e.what());
     }
     return ratio;
+}
+
+/** The --type / type= collective tokens. */
+const std::pair<const char*, CollectiveType> kTypes[] = {
+    {"ar", CollectiveType::AllReduce},
+    {"rs", CollectiveType::ReduceScatter},
+    {"ag", CollectiveType::AllGather},
+    {"a2a", CollectiveType::AllToAll}};
+
+std::optional<CollectiveType>
+collectiveType(const std::string& tok)
+{
+    for (const auto& [name, type] : kTypes)
+        if (tok == name)
+            return type;
+    return std::nullopt;
+}
+
+/** One Table 3 scheduler: --sched/sched= token, name and config. */
+struct SchedulerSetup
+{
+    const char* token;
+    const char* name;
+    runtime::RuntimeConfig cfg;
+};
+
+constexpr std::size_t kSchedulers = 3;
+
+/** The three schedulers, in grid column order. */
+const std::array<SchedulerSetup, kSchedulers>&
+schedulerSetups()
+{
+    static const std::array<SchedulerSetup, kSchedulers> setups = {{
+        {"base", "Baseline", runtime::baselineConfig()},
+        {"fifo", "Themis+FIFO", runtime::themisFifoConfig()},
+        {"scf", "Themis+SCF", runtime::themisScfConfig()}}};
+    return setups;
+}
+
+std::optional<std::size_t>
+schedIndex(const std::string& tok)
+{
+    const auto& setups = schedulerSetups();
+    for (std::size_t i = 0; i < setups.size(); ++i)
+        if (tok == setups[i].token)
+            return i;
+    return std::nullopt;
+}
+
+/** One command-line flag; see the file comment. */
+struct Flag
+{
+    const char* name;
+    /** Value placeholder; nullptr for a switch. */
+    const char* metavar;
+    const char* help;
+    /** Modes that read the flag. */
+    unsigned modes;
+    void (*apply)(Options& o, const std::string& value);
+};
+
+using V = const std::string&;
+
+const Flag kFlags[] = {
+    {"--topo", "NAME|SPEC", "Table 2 preset or spec SW:16:200x6:700,... "
+     "(topology/parse.hpp) [3D-SW_SW_SW_homo]", kOneRuntime | kPriority |
+     kGrid, [](Options& o, V v) { o.topo = v; }},
+    {"--type", "ar|rs|ag|a2a", "collective pattern [ar]",
+     kSingle | kGrid | kServe, [](Options& o, V v) {
+         o.type = toLower(v);
+         if (!collectiveType(o.type))
+             THEMIS_FATAL("bad --type '" << v << "' (ar|rs|ag|a2a)");
+     }},
+    {"--size", "BYTES", "per-NPU collective size [1e9]", kSingle | kGrid |
+     kServe | kPriority,
+     [](Options& o, V v) { o.size = numberFlag(v, "--size", 0, true); }},
+    {"--chunks", "N", "chunks per collective [64]", kSimulating,
+     [](Options& o, V v) { o.chunks = intFlag(v, "--chunks", 1); }},
+    {"--sched", "base|fifo|scf", "scheduler [scf]", kOneRuntime,
+     [](Options& o, V v) {
+         o.sched = toLower(v);
+         if (!schedIndex(o.sched))
+             THEMIS_FATAL("bad --sched '" << v << "' (base|fifo|scf)");
+     }},
+    {"--enforce", nullptr, "pre-simulate and enforce chunk-op orders",
+     kSimulating, [](Options& o, V) { o.enforce = true; }},
+    {"--validate", nullptr, "cross-check against the per-NPU backend",
+     kSingle, [](Options& o, V) { o.validate = true; }},
+    {"--sweep", "C1,C2,...", "chunk counts to sweep", kGrid,
+     [](Options& o, V v) { o.sweep = v; }},
+    {"--grid", "T1;T2;...", "topologies to sweep, sharing a plan cache",
+     kGrid, [](Options& o, V v) { o.grid = v; }},
+    {"--jobs", "N|SPECS", "worker threads [hardware], or cluster specs "
+     "train:MODEL[,k=v];infer:SIZE[,k=v] ('|' separates --grid mixes)",
+     kServe | kCluster | kGrid, [](Options& o, V v) {
+         // An integer keeps the historical meaning (worker threads).
+         if (!v.empty() && v.find_first_not_of("0123456789") == v.npos)
+             o.jobs = parseInt(v, "--jobs");
+         else
+             o.jobs_spec = v;
+     }},
+    {"--shard", "I/N", "own the grid cells with index = I mod N", kGrid,
+     [](Options& o, V v) { o.shard = v; }},
+    {"--results", "PATH", "append-only JSONL store: resume and memoize",
+     kGrid | kServe, [](Options& o, V v) { o.results = v; }},
+    {"--max-cells", "N", "stop after simulating N new cells", kGrid,
+     [](Options& o, V v) { o.max_cells = intFlag(v, "--max-cells", 1); }},
+    {"--merge", "OUT,IN...", "write the canonical merge of IN to OUT",
+     kMerge, [](Options& o, V v) { o.merge = v; }},
+    {"--serve", nullptr, "answer key=value what-if queries from stdin",
+     kServe, [](Options& o, V) { o.serve = true; }},
+    {"--priority", "W", "urgent AR chain at weight W vs bulk ARs",
+     kPriority,
+     [](Options& o, V v) { o.priority = ratioFlag(v, "--priority"); }},
+    {"--tier-ratio", "W", "cluster weight ladder tiered(W) [4]",
+     kCluster | kGrid,
+     [](Options& o, V v) { o.tier_ratio = ratioFlag(v, "--tier-ratio"); }},
+    {"--offset-search", nullptr, "phase-offset search; run the best",
+     kCluster, [](Options& o, V) { o.offset_search = true; }},
+    {"--iterations", "N", "training iterations or cluster rounds [3]",
+     kIterations | kCluster,
+     [](Options& o, V v) { o.iterations = intFlag(v, "--iterations", 1); }},
+    {"--model", "NAME", "model-zoo workload [Transformer-1T]",
+     kIterations, [](Options& o, V v) { o.model = v; }},
+    {"--exact", nullptr, "assert the replay bit-identical to full runs",
+     kIterations | kCluster, [](Options& o, V) { o.exact = true; }},
+    {"--no-replay", nullptr, "simulate every iteration",
+     kIterations | kCluster, [](Options& o, V) { o.no_replay = true; }},
+    {"--cycle-limit", "K", "largest replayable cycle, in rounds "
+     "[hyper-period]; selects lockstep cluster runs", kIterations |
+     kCluster, [](Options& o, V v) {
+         o.cycle_limit = intFlag(v, "--cycle-limit", 1);
+     }},
+    {"--faults", "SPEC", "fault timeline (sim/fault_timeline.hpp)",
+     kOneRuntime, [](Options& o, V v) {
+         o.faults = v;
+         o.fault_tl = sim::FaultTimeline::parse(v);
+     }},
+    {"--adapt", nullptr, "re-plan against degraded bandwidths",
+     kOneRuntime, [](Options& o, V) { o.adapt = true; }},
+    {"--replan-threshold", "T", "capacity change that re-plans [0.05]",
+     kOneRuntime, [](Options& o, V v) {
+         o.replan_threshold = numberFlag(v, "--replan-threshold", 0, false);
+     }},
+    {"--report", "PATH", "write a themis.run_report/1 JSON", kAllModes,
+     [](Options& o, V v) { o.report = v; }},
+    {"--trace", "PATH", "write a Perfetto/Chrome trace", kOneRuntime,
+     [](Options& o, V v) { o.trace = v; }},
+};
+
+[[noreturn]] void
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [options]\n"
+                 "The first matching mode runs: %s (no mode flag).\n"
+                 "A flag the mode does not read is an error.\n\n",
+                 argv0, modeNames(kAllModes).c_str());
+    for (const Flag& f : kFlags) {
+        const std::string head =
+            std::string(f.name) +
+            (f.metavar != nullptr ? std::string(" ") + f.metavar : "");
+        std::fprintf(stderr, "  %-22s %s\n  %-22s   modes: %s\n",
+                     head.c_str(), f.help, "",
+                     modeNames(f.modes).c_str());
+    }
+    std::exit(2);
+}
+
+/** The one mode this invocation runs (see kModeNames). */
+Mode
+pickMode(const Options& o)
+{
+    const bool grid = !o.grid.empty() || !o.sweep.empty();
+    if (o.merge.empty() && o.serve && !o.jobs_spec.empty())
+        THEMIS_FATAL("--jobs SPECS is not read by --serve runs; --serve "
+                     "takes a worker count");
+    return !o.merge.empty()                ? kMerge
+           : o.serve                       ? kServe
+           : !o.jobs_spec.empty() && !grid ? kCluster
+           : o.iterations > 0              ? kIterations
+           : o.priority > 0.0              ? kPriority
+           : grid                          ? kGrid
+                                           : kSingle;
+}
+
+/** Parse argv through kFlags, pick the mode, reject unread flags. */
+Options
+parseArgs(int argc, char** argv)
+{
+    Options o;
+    std::vector<const Flag*> given;
+    for (int i = 1; i < argc; ++i) {
+        const auto it = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&](const Flag& f) { return argv[i] == std::string(f.name); });
+        if (it == std::end(kFlags) ||
+            (it->metavar != nullptr && i + 1 >= argc))
+            usage(argv[0]);
+        it->apply(o, it->metavar != nullptr ? argv[++i] : "");
+        given.push_back(&*it);
+    }
+    o.mode = pickMode(o);
+    for (const Flag* f : given)
+        if ((f->modes & o.mode) == 0)
+            THEMIS_FATAL(f->name << " is not read by "
+                                 << modeNames(o.mode)
+                                 << " runs; it applies to "
+                                 << modeNames(f->modes));
+    return o;
 }
 
 Topology
@@ -252,138 +415,106 @@ std::vector<GridTopo>
 parseGridList(const std::string& grid_arg)
 {
     std::vector<GridTopo> out;
-    std::size_t entry = 0;
     std::size_t pos = 0;
-    while (pos <= grid_arg.size()) {
-        std::size_t sep = grid_arg.find(';', pos);
-        if (sep == std::string::npos)
-            sep = grid_arg.size();
-        const std::string tok = grid_arg.substr(pos, sep - pos);
-        ++entry;
-        const std::size_t column = pos + 1; // 1-based for humans
+    for (const std::string& tok : split(grid_arg, ';')) {
+        const std::string where = "--grid entry " +
+                                  std::to_string(out.size() + 1) +
+                                  " (line 1, column " +
+                                  std::to_string(pos + 1); // 1-based
+        pos += tok.size() + 1;
         if (tok.find_first_not_of(" \t") == std::string::npos)
-            THEMIS_FATAL("--grid entry " << entry << " (line 1, column "
-                                         << column
-                                         << ") is empty; remove the "
-                                            "stray ';' or name a "
-                                            "topology");
+            THEMIS_FATAL(where << ") is empty; remove the stray ';' or "
+                                  "name a topology");
         try {
             out.push_back({tok, resolveTopology(tok)});
         } catch (const ConfigError& e) {
-            THEMIS_FATAL("--grid entry " << entry << " (line 1, column "
-                                         << column << "): '" << tok
-                                         << "' is not a preset or "
-                                            "topology spec: "
-                                         << e.what());
+            THEMIS_FATAL(where << "): '" << tok << "' is not a preset or "
+                               << "topology spec: " << e.what());
         }
-        pos = sep + 1;
-        if (sep == grid_arg.size())
-            break;
     }
     return out;
 }
 
-/** True when @p s is a plain non-negative integer (thread count). */
-bool
-isInteger(const std::string& s)
-{
-    return !s.empty() &&
-           s.find_first_not_of("0123456789") == std::string::npos;
-}
-
-/** Parse a tier name or digit; -1 on failure. */
+/** Parse a tier name (bulk|standard|urgent) or digit; -1 on failure. */
 int
 parseTier(const std::string& v)
 {
-    const std::string t = toLower(v);
-    if (t == "bulk" || t == "0")
-        return static_cast<int>(PriorityTier::Bulk);
-    if (t == "standard" || t == "1")
-        return static_cast<int>(PriorityTier::Standard);
-    if (t == "urgent" || t == "2")
-        return static_cast<int>(PriorityTier::Urgent);
+    for (int t = 0; t <= static_cast<int>(PriorityTier::Urgent); ++t)
+        if (toLower(v) == priorityTierName(t) || v == std::to_string(t))
+            return t;
     return -1;
 }
 
 /**
- * Parse one --jobs cluster spec list; see the usage comment for the
- * grammar. Malformed entries are rejected with an entry/key
+ * Parse one --jobs cluster spec list (grammar: README, "--jobs spec
+ * grammar"). Malformed entries are rejected with an entry/key
  * diagnostic rather than silently skipped.
  */
 std::vector<cluster::JobSpec>
 parseJobSpecs(const std::string& arg, int default_iterations)
 {
     std::vector<cluster::JobSpec> specs;
-    std::size_t entry = 0;
     for (const std::string& tok : split(arg, ';')) {
-        ++entry;
+        const std::string where =
+            "--jobs entry " + std::to_string(specs.size() + 1);
         const std::vector<std::string> fields = split(tok, ',');
-        if (fields.empty() || fields.front().empty())
-            THEMIS_FATAL("--jobs entry " << entry << " is empty");
         const std::string& head = fields.front();
         const std::size_t colon = head.find(':');
+        if (head.empty())
+            THEMIS_FATAL(where << " is empty");
         if (colon == std::string::npos)
-            THEMIS_FATAL("--jobs entry " << entry << " ('" << head
-                                         << "'): expected "
-                                            "train:MODEL or "
-                                            "infer:SIZE");
+            THEMIS_FATAL(where << " ('" << head
+                               << "'): expected train:MODEL or infer:SIZE");
         const std::string kind = toLower(head.substr(0, colon));
         const std::string head_arg = head.substr(colon + 1);
         cluster::JobSpec spec;
         if (kind == "train") {
-            spec = cluster::JobSpec::training(
-                models::byName(head_arg), default_iterations);
+            spec = cluster::JobSpec::training(models::byName(head_arg),
+                                              default_iterations);
         } else if (kind == "infer") {
-            const Bytes size = std::atof(head_arg.c_str());
+            const Bytes size = parseNumber(head_arg, where + " request size");
             if (size <= 0.0)
-                THEMIS_FATAL("--jobs entry "
-                             << entry << ": bad request size '"
-                             << head_arg << "'");
-            // Period defaults are overridden below; validate() then
-            // enforces a positive period was supplied.
+                THEMIS_FATAL(where << ": bad request size '" << head_arg
+                                   << "'");
+            // The period is set below; validate() then enforces a
+            // positive period was supplied.
             spec = cluster::JobSpec::periodicInference(size, 0.0);
         } else {
-            THEMIS_FATAL("--jobs entry " << entry << ": unknown job "
-                                         "kind '"
-                                         << kind
-                                         << "' (train or infer)");
+            THEMIS_FATAL(where << ": unknown job kind '" << kind
+                               << "' (train or infer)");
         }
         for (std::size_t f = 1; f < fields.size(); ++f) {
             const std::size_t eq = fields[f].find('=');
             if (eq == std::string::npos)
-                THEMIS_FATAL("--jobs entry "
-                             << entry << ": field '" << fields[f]
-                             << "' is not key=value");
+                THEMIS_FATAL(where << ": field '" << fields[f]
+                                   << "' is not key=value");
             const std::string key = toLower(fields[f].substr(0, eq));
             const std::string val = fields[f].substr(eq + 1);
-            if (key == "arrival") {
-                spec.arrival = std::atof(val.c_str());
-            } else if (key == "tier") {
+            const std::string what = where + " " + key;
+            const bool train = kind == "train";
+            if (key == "tier") {
                 spec.priority_tier = parseTier(val);
                 if (spec.priority_tier < 0)
-                    THEMIS_FATAL("--jobs entry "
-                                 << entry << ": bad tier '" << val
-                                 << "' (bulk|standard|urgent)");
-            } else if (key == "iterations" &&
-                       kind == "train") {
-                spec.iterations = std::atoi(val.c_str());
-            } else if (key == "period" && kind == "infer") {
-                spec.period = std::atof(val.c_str());
-            } else if (key == "deadline" && kind == "infer") {
-                spec.deadline = std::atof(val.c_str());
-            } else if (key == "requests" && kind == "infer") {
-                spec.max_requests = std::atoi(val.c_str());
+                    THEMIS_FATAL(where << ": bad tier '" << val
+                                       << "' (bulk|standard|urgent)");
+            } else if (key == "arrival") {
+                spec.arrival = parseNumber(val, what);
+            } else if (key == "iterations" && train) {
+                spec.iterations = parseInt(val, what);
+            } else if (key == "period" && !train) {
+                spec.period = parseNumber(val, what);
+            } else if (key == "deadline" && !train) {
+                spec.deadline = parseNumber(val, what);
+            } else if (key == "requests" && !train) {
+                spec.max_requests = parseInt(val, what);
             } else {
-                THEMIS_FATAL("--jobs entry "
-                             << entry << ": unknown key '" << key
-                             << "' for a " << kind << " job");
+                THEMIS_FATAL(where << ": unknown key '" << key
+                                   << "' for a " << kind << " job");
             }
         }
         if (spec.kind == cluster::JobKind::PeriodicInference &&
             spec.period <= 0.0)
-            THEMIS_FATAL("--jobs entry "
-                         << entry
-                         << ": infer jobs need period=NS (> 0)");
+            THEMIS_FATAL(where << ": infer jobs need period=NS (> 0)");
         spec.validate();
         specs.push_back(std::move(spec));
     }
@@ -410,76 +541,28 @@ std::vector<JobsMix>
 parseJobsMixes(const std::string& arg, int default_iterations)
 {
     std::vector<JobsMix> out;
-    std::size_t mix = 0;
     for (const std::string& tok : split(arg, '|')) {
-        ++mix;
+        const std::string where =
+            "--jobs mix " + std::to_string(out.size() + 1);
         if (tok.find_first_not_of(" \t") == std::string::npos)
-            THEMIS_FATAL("--jobs mix " << mix
-                                       << " is empty; remove the "
-                                          "stray '|' or name jobs");
+            THEMIS_FATAL(where << " is empty; remove the stray '|' or name "
+                                  "jobs");
         try {
-            out.push_back(
-                {tok, parseJobSpecs(tok, default_iterations)});
+            out.push_back({tok, parseJobSpecs(tok, default_iterations)});
         } catch (const ConfigError& e) {
-            THEMIS_FATAL("--jobs mix " << mix << ": " << e.what());
+            THEMIS_FATAL(where << ": " << e.what());
         }
     }
     return out;
 }
 
-/** FNV-1a over @p n bytes, continuing @p h. */
-std::uint64_t
-fnv1a(const void* data, std::size_t n,
-      std::uint64_t h = 14695981039346656037ull)
-{
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/** 16-hex-digit rendering of @p h (result-key mix hashes). */
-std::string
-hex16(std::uint64_t h)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-/**
- * Exact double rendering for result-store key fields ("%.17g"
- * round-trips any IEEE double), so a --serve query key matches the
- * grid-written record byte-for-byte.
- */
-std::string
-keyDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Result fingerprint: FNV-1a over names and value bit patterns. */
-std::uint64_t
-valuesFingerprint(
-    const std::vector<std::pair<std::string, double>>& values)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (const auto& [name, v] : values) {
-        h = fnv1a(name.data(), name.size(), h);
-        h = fnv1a(&v, sizeof(v), h);
-    }
-    return h;
-}
+/** Named result values of one grid cell or --serve query. */
+using Values = std::vector<std::pair<std::string, double>>;
 
 /** One evaluated grid cell / --serve query: values + wall time. */
 struct CellOutcome
 {
-    std::vector<std::pair<std::string, double>> values;
+    Values values;
     double wall_ms = 0.0;
 };
 
@@ -490,21 +573,6 @@ nowMs()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** One scheduler column of the --sweep/--grid tables. */
-struct SchedulerSetup
-{
-    const char* name;
-    runtime::RuntimeConfig cfg;
-};
-
-std::vector<SchedulerSetup>
-schedulerSetups()
-{
-    return {{"Baseline", runtime::baselineConfig()},
-            {"Themis+FIFO", runtime::themisFifoConfig()},
-            {"Themis+SCF", runtime::themisScfConfig()}};
 }
 
 /** Per-dimension fault-report rows from a finished run's tracker. */
@@ -533,14 +601,27 @@ faultRows(const Topology& topo, const stats::UtilizationTracker& ut)
     return rows;
 }
 
+/** JSON array of one object per item, filled in by @p fields. */
+template <class T, class Fields>
+std::string
+jsonArray(const std::vector<T>& items, Fields fields)
+{
+    stats::telemetry::JsonWriter w;
+    w.beginArray();
+    for (const T& item : items) {
+        w.beginObject();
+        fields(w, item);
+        w.endObject();
+    }
+    w.endArray();
+    return w.str();
+}
+
 /** JSON array of per-job stats for the RunReport "jobs" section. */
 std::string
 jobsJson(const std::vector<cluster::JobStats>& jobs)
 {
-    stats::telemetry::JsonWriter w;
-    w.beginArray();
-    for (const auto& j : jobs) {
-        w.beginObject();
+    return jsonArray(jobs, [](auto& w, const auto& j) {
         w.key("job").value(j.job);
         w.key("name").value(j.name);
         w.key("kind").value(cluster::jobKindName(j.kind));
@@ -559,20 +640,14 @@ jobsJson(const std::vector<cluster::JobStats>& jobs)
         w.key("unit_max_ns").value(j.unit_max);
         w.key("progressed_bytes").value(j.progressed);
         w.key("utilization").value(j.utilization);
-        w.endObject();
-    }
-    w.endArray();
-    return w.str();
+    });
 }
 
 /** JSON array of fault rows for the RunReport "fault" section. */
 std::string
 faultJson(const std::vector<stats::FaultDimRow>& rows)
 {
-    stats::telemetry::JsonWriter w;
-    w.beginArray();
-    for (const auto& r : rows) {
-        w.beginObject();
+    return jsonArray(rows, [](auto& w, const auto& r) {
         w.key("dim").value(r.name);
         w.key("capacity_events")
             .value(static_cast<std::uint64_t>(r.capacity_events));
@@ -584,10 +659,7 @@ faultJson(const std::vector<stats::FaultDimRow>& rows)
         w.key("lost_bytes").value(r.lost_bytes);
         w.key("fatal_retries")
             .value(static_cast<std::uint64_t>(r.fatal_retries));
-        w.endObject();
-    }
-    w.endArray();
-    return w.str();
+    });
 }
 
 /** JSON array of class rows for the RunReport "classes" section. */
@@ -595,10 +667,7 @@ std::string
 classesJson(
     const std::vector<runtime::CommRuntime::ClassReport>& classes)
 {
-    stats::telemetry::JsonWriter w;
-    w.beginArray();
-    for (const auto& c : classes) {
-        w.beginObject();
+    return jsonArray(classes, [](auto& w, const auto& c) {
         w.key("tier").value(c.tier);
         w.key("name").value(priorityTierName(c.tier));
         w.key("weight").value(c.weight);
@@ -607,10 +676,7 @@ classesJson(
         w.key("mean_duration_ns").value(c.mean_duration);
         w.key("progressed_bytes").value(c.progressed);
         w.key("utilization").value(c.utilization);
-        w.endObject();
-    }
-    w.endArray();
-    return w.str();
+    });
 }
 
 /**
@@ -634,41 +700,1340 @@ emitReport(stats::telemetry::RunReport& report,
                 stats::telemetry::RunReport::kSchemaVersion);
 }
 
-/** Write the --trace artifact and announce it. No-op without it. */
-void
-emitTrace(const stats::TraceWriter& trace, const std::string& path)
+/**
+ * The runtime config every simulating mode derives from: @p cfg (a
+ * Table 3 scheduler config) plus --enforce, --chunks, --faults and
+ * --adapt. Modes whose rows do not read a flag see its default here.
+ */
+runtime::RuntimeConfig
+baseConfig(const Options& o, runtime::RuntimeConfig cfg)
 {
-    if (path.empty())
-        return;
-    trace.writeFile(path);
-    std::printf("trace: %zu span(s), %zu instant(s) -> %s (open in "
-                "ui.perfetto.dev or chrome://tracing)\n",
-                trace.eventCount(), trace.instantCount(),
-                path.c_str());
-}
-
-/** Record the adaptation headline numbers into a report. */
-void
-reportAdaptation(stats::telemetry::RunReport& report,
-                 const runtime::CommRuntime& comm)
-{
-    report.setNumber("replans",
-                     static_cast<double>(comm.replanCount()));
-    report.setInfo("capacity_fingerprint",
-                   hex16(comm.capacityFingerprint()));
+    cfg.enforce_consistent_order = o.enforce;
+    cfg.default_chunks = o.chunks;
+    if (o.fault_tl)
+        cfg.faults = &*o.fault_tl;
+    cfg.adaptation.enabled = o.adapt;
+    cfg.adaptation.replan_threshold = o.replan_threshold;
+    return cfg;
 }
 
 /**
- * One-line adaptive re-planning summary after a faulted run; quiet
- * unless --adapt was given.
+ * Config of the one-runtime modes (single collective, --iterations,
+ * --jobs cluster): --sched's config, the fault timeline checked
+ * against @p topo, and the telemetry sink whenever an artifact was
+ * requested. The registry is single-threaded, so the batch modes run
+ * cells on worker threads without it.
+ */
+runtime::RuntimeConfig
+runConfig(const Options& o, const Topology& topo, Telemetry& telem)
+{
+    runtime::RuntimeConfig cfg =
+        baseConfig(o, schedulerSetups()[*schedIndex(o.sched)].cfg);
+    if (o.fault_tl)
+        o.fault_tl->validateForDims(topo.numDims());
+    if (!o.report.empty() || !o.trace.empty())
+        cfg.telemetry = &telem;
+    return cfg;
+}
+
+/**
+ * Cluster runs: the Themis scheduler upgrades to its priority-aware
+ * variant when a weight ladder is in play.
+ */
+runtime::RuntimeConfig
+clusterConfig(runtime::RuntimeConfig cfg, double tier_ratio)
+{
+    if (cfg.scheduler == SchedulerKind::Themis && tier_ratio > 1.0)
+        cfg.scheduler = SchedulerKind::ThemisPriority;
+    cfg.priority = PriorityPolicy::tiered(tier_ratio);
+    return cfg;
+}
+
+/**
+ * Shared tail of the one-runtime modes: the --faults report (fault
+ * counters cover @p fault_scope), the --adapt summary, then the
+ * --trace and --report artifacts, the report gaining the fault and
+ * adaptation fields.
  */
 void
-printAdaptationSummary(const runtime::CommRuntime& comm)
+finishRun(const Options& o, const Topology& topo,
+          const runtime::CommRuntime& comm, const char* fault_scope,
+          RunReport& report, Telemetry& telem)
 {
-    std::printf("adaptation: %llu re-plan(s), capacity epoch %#llx\n",
-                static_cast<unsigned long long>(comm.replanCount()),
-                static_cast<unsigned long long>(
-                    comm.capacityFingerprint()));
+    if (!o.faults.empty()) {
+        const auto rows = faultRows(topo, comm.utilization());
+        std::printf("\nfault report%s (--faults \"%s\"):\n%s",
+                    fault_scope, o.faults.c_str(),
+                    stats::renderFaultTable(rows).c_str());
+        report.setInfo("faults", o.faults);
+        report.addSection("fault", faultJson(rows));
+    }
+    if (o.adapt) {
+        std::printf("adaptation: %llu re-plan(s), capacity epoch %#llx\n",
+                    static_cast<unsigned long long>(comm.replanCount()),
+                    static_cast<unsigned long long>(
+                        comm.capacityFingerprint()));
+        report.setNumber("replans", comm.replanCount());
+        report.setInfo("capacity_fingerprint",
+                       sim::hex16(comm.capacityFingerprint()));
+    }
+    if (telem.trace != nullptr) {
+        telem.trace->writeFile(o.trace);
+        std::printf("trace: %zu span(s), %zu instant(s) -> %s (open in "
+                    "ui.perfetto.dev or chrome://tracing)\n",
+                    telem.trace->eventCount(), telem.trace->instantCount(),
+                    o.trace.c_str());
+    }
+    emitReport(report, o.report, &telem);
+}
+
+/** Convergence-table label of the replay mode. */
+const char*
+runLabel(const Options& o)
+{
+    return o.exact ? "exactness" : (o.no_replay ? "full" : "replay");
+}
+
+workload::ConvergenceOptions
+convergenceOptions(const Options& o, int iterations)
+{
+    workload::ConvergenceOptions copts;
+    copts.iterations = iterations;
+    copts.replay = !o.no_replay;
+    copts.exactness_check = o.exact;
+    copts.cycle_limit = o.cycle_limit;
+    return copts;
+}
+
+/** Print the one-row convergence table of @p r. */
+void
+printConvergenceRow(const workload::ConvergenceReport& r,
+                    const Options& o, double wall_ms)
+{
+    stats::ConvergenceRunRow row;
+    row.label = runLabel(o);
+    row.iterations = r.iterations;
+    row.simulated = r.simulated_iterations;
+    row.replayed = r.replayed_iterations;
+    row.cycle_length = r.cycle_length;
+    row.total_time = r.total.total;
+    row.last_iteration = r.last.total;
+    row.utilization = r.utilization;
+    row.wall_ms = wall_ms;
+    std::printf("%s", stats::renderConvergenceTable({row}).c_str());
+}
+
+/**
+ * Steady-state line of a convergence run: "  <found> N (fingerprint
+ * ...)" or "  <missing>". Under --exact a run without a steady state
+ * asserted nothing, so a vacuous pass is refused with @p exact_fail.
+ */
+void
+printSteadyState(const workload::ConvergenceReport& r, bool exact,
+                 const char* found, const char* missing,
+                 const char* exact_fail)
+{
+    if (r.steady_at >= 0)
+        std::printf("  %s %d (fingerprint %016llx)%s\n", found,
+                    r.steady_at,
+                    static_cast<unsigned long long>(r.steady_fingerprint),
+                    exact ? ", replay prediction asserted bit-identical"
+                          : "");
+    else if (exact)
+        THEMIS_FATAL("--exact: " << exact_fail);
+    else
+        std::printf("  %s\n", missing);
+}
+
+/** Job-table row of one cluster job's stats. */
+stats::JobUsageRow
+jobUsageRow(const cluster::JobStats& j)
+{
+    const bool training = j.kind == cluster::JobKind::Training;
+    stats::JobUsageRow row;
+    row.name = j.name;
+    row.kind = cluster::jobKindName(j.kind);
+    row.arrival = j.arrival;
+    row.jct = j.jct();
+    row.units = training ? j.iterations : j.requests_completed;
+    row.mean_unit = training ? j.mean_iteration : j.mean_latency;
+    row.exposed_share = j.exposed_share;
+    row.deadline_hit_rate = j.deadline_hit_rate;
+    row.unit_p99 = j.unit_p99;
+    row.unit_max = j.unit_max;
+    row.progressed = j.progressed;
+    row.utilization = j.utilization;
+    return row;
+}
+
+/** Class-table row of one priority class (named @p name). */
+stats::ClassUsageRow
+classUsageRow(const runtime::CommRuntime::ClassReport& c,
+              std::string name)
+{
+    stats::ClassUsageRow row;
+    row.name = std::move(name);
+    row.weight = c.weight;
+    row.collectives = c.completed;
+    row.mean_duration = c.mean_duration;
+    row.progressed = c.progressed;
+    row.utilization = c.utilization;
+    return row;
+}
+
+/**
+ * Canonical result-store key of one grid cell or --serve query. Both
+ * build keys here, so a --serve query hits the record a sharded grid
+ * wrote for the same cell.
+ */
+std::string
+resultKey(const std::string& topo, const SchedulerSetup& sched,
+          int chunks, bool enforce,
+          std::vector<std::pair<std::string, std::string>> fields)
+{
+    fields.insert(fields.end(), {{"topo", topo},
+                                 {"sched", sched.name},
+                                 {"chunks", std::to_string(chunks)},
+                                 {"enforce", enforce ? "1" : "0"}});
+    return sim::makeResultKey(std::move(fields));
+}
+
+std::vector<std::pair<std::string, std::string>>
+collectiveFields(const std::string& type, Bytes size)
+{
+    return {{"type", type}, {"size", sim::keyDouble(size)}};
+}
+
+/** One collective of cfg.default_chunks chunks, run to completion. */
+Values
+collectiveValues(sim::EventQueue& queue, const Topology& topo,
+                 const runtime::RuntimeConfig& cfg, CollectiveType type,
+                 Bytes size)
+{
+    CollectiveRequest r;
+    r.type = type;
+    r.size = size;
+    r.chunks = cfg.default_chunks;
+    runtime::CommRuntime comm(queue, topo, cfg);
+    const int cid = comm.issue(r);
+    queue.run();
+    comm.finalizeStats();
+    return {{"time_ns", comm.record(cid).duration()},
+            {"util", comm.utilization().weightedUtilization()}};
+}
+
+/** Run @p eval, timing it. */
+template <class Eval>
+CellOutcome
+timed(Eval&& eval)
+{
+    const double t0 = nowMs();
+    CellOutcome out;
+    out.values = eval();
+    out.wall_ms = nowMs() - t0;
+    return out;
+}
+
+sim::ResultRecord
+makeRecord(std::string key, const CellOutcome& out)
+{
+    sim::ResultRecord rec;
+    rec.key = std::move(key);
+    rec.values = out.values;
+    rec.fingerprint = sim::valuesFingerprint(out.values);
+    rec.wall_ms = out.wall_ms;
+    return rec;
+}
+
+/**
+ * "N plans, H hits / M misses" of a batch mode's shared @p cache; the
+ * same counts go into @p report.
+ */
+std::string
+planCacheSummary(const PlanCache& cache, RunReport& report)
+{
+    const auto st = cache.stats();
+    report.setNumber("plan_cache_plans", cache.planCount());
+    report.setNumber("plan_cache_hits", st.plan_hits);
+    report.setNumber("plan_cache_misses", st.plan_misses);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%zu plans, %llu hits / %llu misses",
+                  cache.planCount(),
+                  static_cast<unsigned long long>(st.plan_hits),
+                  static_cast<unsigned long long>(st.plan_misses));
+    return buf;
+}
+
+// ------------------------------------------------------------- --merge
+
+int
+runMerge(const Options& o)
+{
+    // Offline canonical merge of shard result stores: the output is
+    // byte-equal to the canonicalBytes() of a 1-process run over the
+    // same grid, so a plain diff (or cmp) proves the sharded execution
+    // exact.
+    const std::vector<std::string> parts = split(o.merge, ',');
+    if (parts.size() < 2)
+        THEMIS_FATAL("--merge wants OUT,IN1[,IN2,...]; got '" << o.merge
+                                                              << "'");
+    const std::vector<std::string> inputs(parts.begin() + 1,
+                                          parts.end());
+    const std::string merged = sim::ResultStore::canonicalMerge(inputs);
+    std::FILE* f = std::fopen(parts.front().c_str(), "wb");
+    if (f == nullptr)
+        THEMIS_FATAL("--merge: cannot write '" << parts.front() << "'");
+    std::fwrite(merged.data(), 1, merged.size(), f);
+    std::fclose(f);
+    std::printf("merged %zu store(s) -> %s (%zu bytes, canonical)\n",
+                inputs.size(), parts.front().c_str(), merged.size());
+    RunReport report("merge");
+    report.setInfo("output", parts.front());
+    report.setNumber("inputs", inputs.size());
+    report.setNumber("bytes", merged.size());
+    emitReport(report, o.report, nullptr);
+    return 0;
+}
+
+// ---------------------------------------------------- single collective
+
+/**
+ * --validate: re-simulate with every NPU modelled individually; on a
+ * symmetric platform the two backends must agree.
+ */
+void
+validatePerNpu(const Topology& topo, const runtime::RuntimeConfig& cfg,
+               const CollectiveRequest& req, TimeNs fluid_time)
+{
+    const auto model = LatencyModel::fromTopology(topo);
+    auto sched = makeScheduler(cfg.scheduler, model, cfg.themis);
+    const auto schedules = sched->scheduleCollective(
+        req.type, schedulableSize(req.type, req.size, model.dimSizes()),
+        req.chunks);
+    npu::NpuSimConfig npu_cfg;
+    npu_cfg.policy = cfg.intra_policy;
+    npu_cfg.admission = cfg.admission;
+    const auto per_npu =
+        npu::simulatePerNpu(topo, req.type, schedules, npu_cfg);
+    std::printf("  per-NPU     : %s on %ld NPUs (%s; error %.4f%%)\n",
+                fmtTime(per_npu.makespan).c_str(), topo.totalNpus(),
+                per_npu.completed ? "completed" : "DEADLOCK",
+                100.0 * std::abs(per_npu.makespan - fluid_time) /
+                    fluid_time);
+}
+
+int
+runSingle(const Options& o, Telemetry& telem)
+{
+    const Topology topo = resolveTopology(o.topo);
+    const runtime::RuntimeConfig cfg = runConfig(o, topo, telem);
+    CollectiveRequest req;
+    req.type = *collectiveType(o.type);
+    req.size = o.size;
+    req.chunks = o.chunks;
+
+    std::printf("%s", topo.describe().c_str());
+    for (const auto& pair : classifyAllPairs(topo))
+        std::printf("  dim%d vs dim%d: %s (ratio %.2f)\n", pair.dim_k + 1,
+                    pair.dim_l + 1,
+                    provisionScenarioName(pair.scenario).c_str(),
+                    pair.ratio);
+
+    sim::EventQueue queue;
+    // The runtime attaches telem.trace itself when the config carries
+    // the telemetry sink.
+    runtime::CommRuntime comm(queue, topo, cfg);
+    const int id = comm.issue(req);
+    queue.run();
+    comm.finalizeStats();
+
+    const auto& rec = comm.record(id);
+    const auto model = LatencyModel::fromTopology(topo);
+    const TimeNs ideal = idealCollectiveTime(req.type, req.size, model);
+    std::printf("\n%s of %s in %d chunks under %s%s:\n",
+                collectiveTypeName(req.type).c_str(),
+                fmtBytes(req.size).c_str(), o.chunks,
+                o.sched == "base" ? "Baseline"
+                                  : ("Themis+" + o.sched).c_str(),
+                o.enforce ? " (enforced order)" : "");
+    std::printf("  time        : %s\n", fmtTime(rec.duration()).c_str());
+    std::printf("  avg BW util : %s\n",
+                fmtPercent(comm.utilization().weightedUtilization())
+                    .c_str());
+    const auto per_dim = comm.utilization().perDimUtilization();
+    for (std::size_t d = 0; d < per_dim.size(); ++d)
+        std::printf("  dim%zu util  : %s\n", d + 1,
+                    fmtPercent(per_dim[d]).c_str());
+    std::printf("  ideal       : %s (size / total BW)\n",
+                fmtTime(ideal).c_str());
+    if (o.validate)
+        validatePerNpu(topo, cfg, req, rec.duration());
+
+    RunReport report("single");
+    report.setInfo("topology", topo.name());
+    report.setInfo("collective", collectiveTypeName(req.type));
+    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
+    report.setNumber("size_bytes", req.size);
+    report.setNumber("chunks", o.chunks);
+    report.setNumber("time_ns", rec.duration());
+    report.setNumber("utilization",
+                     comm.utilization().weightedUtilization());
+    report.setNumber("ideal_ns", ideal);
+    finishRun(o, topo, comm, "", report, telem);
+    return 0;
+}
+
+// -------------------------------------------------------- --iterations
+
+int
+runIterations(const Options& o, Telemetry& telem)
+{
+    // Train --model on --topo for N iterations through the
+    // steady-state replay engine.
+    const Topology topo = resolveTopology(o.topo);
+    runtime::RuntimeConfig cfg = runConfig(o, topo, telem);
+    PlanCache cache;
+    cfg.plan_cache = &cache;
+    sim::EventQueue queue;
+    runtime::CommRuntime comm(queue, topo, cfg);
+    workload::TrainingLoop loop(comm, models::byName(o.model));
+    const double t0 = nowMs();
+    const auto r = workload::runConverged(
+        comm, loop, convergenceOptions(o, o.iterations));
+    const double wall_ms = nowMs() - t0;
+
+    std::printf("%s", topo.describe().c_str());
+    std::printf("\n%s x %d training iterations under %s%s:\n\n",
+                o.model.c_str(), o.iterations,
+                schedulerKindName(cfg.scheduler).c_str(),
+                o.exact ? " (exactness-check mode)" : "");
+    printConvergenceRow(r, o, wall_ms);
+    std::printf("\n  per-iteration decomposition (steady): fwd %s, bwd "
+                "%s, exposed MP %s, exposed DP %s\n",
+                fmtTime(r.last.fwd_compute).c_str(),
+                fmtTime(r.last.bwd_compute).c_str(),
+                fmtTime(r.last.exposed_mp).c_str(),
+                fmtTime(r.last.exposed_dp).c_str());
+    printSteadyState(r, o.exact, "steady state at iteration",
+                     "steady state not reached; every iteration "
+                     "simulated",
+                     "steady state was never reached, so nothing was "
+                     "asserted; raise --iterations or check why "
+                     "iterations stopped repeating");
+    std::printf("  %ld collectives, %llu chunk ops, plan cache %zu "
+                "plans\n",
+                r.collectives, static_cast<unsigned long long>(r.ops),
+                cache.planCount());
+    comm.publishTelemetry();
+
+    RunReport report("iterations");
+    report.setInfo("topology", topo.name());
+    report.setInfo("model", o.model);
+    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
+    report.setInfo("run", runLabel(o));
+    report.setNumber("iterations", r.iterations);
+    report.setNumber("simulated_iterations", r.simulated_iterations);
+    report.setNumber("replayed_iterations", r.replayed_iterations);
+    report.setNumber("cycle_length", r.cycle_length);
+    report.setNumber("steady_at", r.steady_at);
+    report.setNumber("total_ns", r.total.total);
+    report.setNumber("iteration_ns", r.last.total);
+    report.setNumber("utilization", r.utilization);
+    report.setNumber("collectives", r.collectives);
+    report.setNumber("chunk_ops", r.ops);
+    report.setNumber("wall_ms", wall_ms);
+    report.setNumber("plan_cache_plans", cache.planCount());
+    // Fault counters are per-iteration-epoch state (mixed into the
+    // epoch fingerprint, so steady-state detection sees fault
+    // activity); the report covers the last simulated iteration.
+    finishRun(o, topo, comm, ", last simulated iteration", report,
+              telem);
+    return 0;
+}
+
+// ---------------------------------------------------------- --priority
+
+/** Mean collective times and makespan of one priority-demo run. */
+struct TenantRun
+{
+    TimeNs hi_mean = 0.0, lo_mean = 0.0, makespan = 0.0;
+};
+
+constexpr int kUrgentChain = 8;
+constexpr int kBulkCount = 2;
+
+/**
+ * One priority-demo run on a fresh runtime: the urgent chain (each
+ * link issued when the previous completes) and/or the bulk tenant.
+ */
+TenantRun
+runTenants(const Topology& topo, const runtime::RuntimeConfig& cfg,
+           Bytes size, bool run_hi, bool run_lo,
+           std::vector<runtime::CommRuntime::ClassReport>* classes)
+{
+    sim::EventQueue queue;
+    runtime::CommRuntime comm(queue, topo, cfg);
+    int hi_remaining = run_hi ? kUrgentChain : 0;
+    std::vector<int> hi_ids, lo_ids;
+    const auto request = [&](Bytes bytes, PriorityTier tier) {
+        CollectiveRequest r;
+        r.size = bytes;
+        r.chunks = 0; // --chunks, via default_chunks
+        r.priority_tier = static_cast<int>(tier);
+        return r;
+    };
+    std::function<void()> issue_hi = [&] {
+        if (hi_remaining == 0)
+            return;
+        --hi_remaining;
+        hi_ids.push_back(comm.issue(request(size / 32.0,
+                                            PriorityTier::Urgent),
+                                    [&] { issue_hi(); }));
+    };
+    issue_hi();
+    for (int i = 0; run_lo && i < kBulkCount; ++i)
+        lo_ids.push_back(comm.issue(request(size, PriorityTier::Bulk)));
+    queue.run();
+    comm.finalizeStats();
+    TenantRun out;
+    out.makespan = queue.now();
+    for (int cid : hi_ids)
+        out.hi_mean += comm.record(cid).duration();
+    if (!hi_ids.empty())
+        out.hi_mean /= static_cast<double>(hi_ids.size());
+    for (int cid : lo_ids)
+        out.lo_mean += comm.record(cid).duration();
+    if (!lo_ids.empty())
+        out.lo_mean /= static_cast<double>(lo_ids.size());
+    if (classes != nullptr)
+        *classes = comm.classReports();
+    return out;
+}
+
+int
+runPriority(const Options& o, Telemetry& telem)
+{
+    // Two-tenant demo: an urgent All-Reduce chain (--size / 32 per
+    // collective) contends with bulk All-Reduces of --size under the
+    // priority-aware Themis scheduler. Solo runs of each tenant
+    // provide the slowdown baselines.
+    const Topology topo = resolveTopology(o.topo);
+    runtime::RuntimeConfig cfg = baseConfig(o, runtime::themisScfConfig());
+    cfg.scheduler = SchedulerKind::ThemisPriority;
+    if (o.priority > 1.0)
+        cfg.priority = PriorityPolicy::tiered(o.priority);
+    std::vector<runtime::CommRuntime::ClassReport> classes;
+    const TenantRun solo_hi =
+        runTenants(topo, cfg, o.size, true, false, nullptr);
+    const TenantRun solo_lo =
+        runTenants(topo, cfg, o.size, false, true, nullptr);
+    const TenantRun both =
+        runTenants(topo, cfg, o.size, true, true, &classes);
+
+    std::printf("%s", topo.describe().c_str());
+    std::printf("\npriority contention demo (%s, policy %s):\n"
+                "  urgent tenant: %d x %s AR chain; bulk tenant: %d x "
+                "%s AR\n\n",
+                schedulerKindName(cfg.scheduler).c_str(),
+                cfg.priority.describe().c_str(), kUrgentChain,
+                fmtBytes(o.size / 32.0).c_str(), kBulkCount,
+                fmtBytes(o.size).c_str());
+    const bool uniform = cfg.priority.isUniform();
+    std::vector<stats::ClassUsageRow> rows;
+    for (const auto& c : classes) {
+        auto row = classUsageRow(
+            c, uniform ? "all (uniform)" : priorityTierName(c.tier));
+        // Per-class slowdowns only make sense when classes are
+        // separated: under the uniform policy (W = 1) class 0 mixes
+        // both tenants (the per-tenant means print below).
+        const TimeNs solo =
+            c.tier == static_cast<int>(PriorityTier::Urgent)
+                ? solo_hi.hi_mean
+                : (c.tier == static_cast<int>(PriorityTier::Bulk)
+                       ? solo_lo.lo_mean
+                       : 0.0);
+        if (!uniform && solo > 0.0)
+            row.slowdown = c.mean_duration / solo;
+        rows.push_back(row);
+    }
+    std::printf("%s", stats::renderClassTable(rows).c_str());
+    std::printf("\n  contended makespan : %s\n",
+                fmtTime(both.makespan).c_str());
+    std::printf("  urgent mean  %s (solo %s)\n",
+                fmtTime(both.hi_mean).c_str(),
+                fmtTime(solo_hi.hi_mean).c_str());
+    std::printf("  bulk mean    %s (solo %s)\n",
+                fmtTime(both.lo_mean).c_str(),
+                fmtTime(solo_lo.lo_mean).c_str());
+    RunReport report("priority");
+    report.setInfo("topology", topo.name());
+    report.setInfo("policy", cfg.priority.describe());
+    report.setNumber("contended_makespan_ns", both.makespan);
+    report.setNumber("urgent_mean_ns", both.hi_mean);
+    report.setNumber("urgent_solo_ns", solo_hi.hi_mean);
+    report.setNumber("bulk_mean_ns", both.lo_mean);
+    report.setNumber("bulk_solo_ns", solo_lo.lo_mean);
+    report.addSection("classes", classesJson(classes));
+    emitReport(report, o.report, &telem);
+    return 0;
+}
+
+// ------------------------------------------------------- --jobs cluster
+
+/**
+ * --offset-search: CASSINI-style search over job phase offsets;
+ * prints every candidate and returns the best offsets.
+ */
+std::vector<TimeNs>
+searchOffsets(const Topology& topo, const runtime::RuntimeConfig& cfg,
+              const std::vector<cluster::JobSpec>& specs, int threads)
+{
+    cluster::OffsetSearchOptions sopts;
+    sopts.threads = threads;
+    const auto res = cluster::searchPhaseOffsets(topo, cfg, specs, sopts);
+    stats::TextTable t({"Phase fraction", "Aggregate iter time"});
+    for (std::size_t i = 0; i < res.candidates.size(); ++i) {
+        t.addRow({fmtDouble(static_cast<double>(i) /
+                                res.candidates.size(),
+                            3),
+                  fmtTime(res.candidates[i].metric)});
+    }
+    std::printf("%s", t.render().c_str());
+    std::printf("\n  offset search: zero-offset %s -> best %s (base "
+                "period %s)\n\n",
+                fmtTime(res.zero_metric).c_str(),
+                fmtTime(res.best.metric).c_str(),
+                fmtTime(res.base_period).c_str());
+    return res.best.offsets;
+}
+
+/** Report fields every cluster run shares. */
+RunReport
+clusterReport(const Topology& topo, const runtime::RuntimeConfig& cfg,
+              const char* run)
+{
+    RunReport report("jobs");
+    report.setInfo("topology", topo.name());
+    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
+    report.setInfo("policy", cfg.priority.describe());
+    report.setInfo("run", run);
+    return report;
+}
+
+/**
+ * Lockstep cluster run through the period-k convergence replay
+ * engine; @p offsets apply as per-round phase delays (rounds restart
+ * from quiescence, so arrival shifts cannot survive them).
+ */
+int
+runClusterLockstep(const Options& o, const Topology& topo,
+                   const runtime::RuntimeConfig& cfg,
+                   cluster::JobScheduler sched,
+                   const std::vector<TimeNs>& offsets, int rounds,
+                   Telemetry& telem)
+{
+    const auto plan = sched.lockstepPlan(
+        o.cycle_limit > 0 ? o.cycle_limit
+                          : cluster::JobScheduler::kDefaultCycleLimit);
+    if (!plan.eligible)
+        THEMIS_FATAL("--jobs convergence run refused: " << plan.reason);
+
+    sim::EventQueue queue;
+    cluster::Cluster cl(queue, topo, cfg, std::move(sched));
+    const double t0 = nowMs();
+    const auto r = cl.runConverged(convergenceOptions(o, rounds), offsets);
+    const double wall_ms = nowMs() - t0;
+    printConvergenceRow(r, o, wall_ms);
+
+    const auto jstats = cl.lockstepJobStats(r.iterations);
+    std::vector<stats::JobUsageRow> jrows;
+    for (std::size_t j = 0; j < jstats.size(); ++j) {
+        stats::JobUsageRow row = jobUsageRow(jstats[j]);
+        row.jct = r.total.total;
+        // No per-job wire totals across replayed rounds.
+        row.progressed = -1.0;
+        row.utilization = -1.0;
+        row.cycle_units =
+            r.cycle_length > 0 ? r.cycle_length / plan.cadences[j] : -1;
+        jrows.push_back(row);
+    }
+    std::printf("\n%s", stats::renderJobTable(jrows).c_str());
+
+    std::printf("\n  cycle replay  : hyper-period %d round(s), cycle %s, "
+                "%d simulated + %d replayed of %d rounds\n",
+                r.hyper_period,
+                r.cycle_length > 0 ? std::to_string(r.cycle_length).c_str()
+                                   : "-",
+                r.epochs_simulated, r.epochs_replayed, r.iterations);
+    printSteadyState(r, o.exact, "steady cycle at round",
+                     "steady cycle not confirmed; every round simulated",
+                     "no steady cycle was confirmed, so nothing was "
+                     "asserted; raise --iterations (the mix needs ~2x "
+                     "its hyper-period of rounds) or --cycle-limit");
+    if (!r.replay_refusal.empty())
+        std::printf("  replay refused: %s\n", r.replay_refusal.c_str());
+    cl.runtime().publishTelemetry();
+
+    RunReport report = clusterReport(topo, cfg, runLabel(o));
+    report.setNumber("rounds", r.iterations);
+    report.setNumber("simulated_rounds", r.simulated_iterations);
+    report.setNumber("replayed_rounds", r.replayed_iterations);
+    report.setNumber("cycle_length", r.cycle_length);
+    report.setNumber("hyper_period", r.hyper_period);
+    report.setNumber("total_ns", r.total.total);
+    report.setNumber("utilization", r.utilization);
+    report.setNumber("wall_ms", wall_ms);
+    report.addSection("jobs", jobsJson(jstats));
+    finishRun(o, topo, cl.runtime(), ", last simulated round", report,
+              telem);
+    return 0;
+}
+
+/** Free-running cluster co-simulation to completion. */
+int
+runClusterFree(const Options& o, const Topology& topo,
+               const runtime::RuntimeConfig& cfg,
+               cluster::JobScheduler sched, Telemetry& telem)
+{
+    sim::EventQueue queue;
+    cluster::Cluster cl(queue, topo, cfg, std::move(sched));
+    const auto elig = cl.replayEligibility();
+    const auto rep = cl.run();
+
+    std::vector<stats::JobUsageRow> rows;
+    for (const auto& j : rep.jobs)
+        rows.push_back(jobUsageRow(j));
+    std::printf("%s", stats::renderJobTable(rows).c_str());
+    std::vector<stats::ClassUsageRow> crows;
+    for (const auto& c : rep.classes)
+        if (c.issued > 0 || c.progressed > 0.0)
+            crows.push_back(classUsageRow(c, priorityTierName(c.tier)));
+    std::printf("\n%s", stats::renderClassTable(crows).c_str());
+    std::printf("\n  makespan      : %s\n", fmtTime(rep.makespan).c_str());
+    std::printf("  fabric util   : %s\n",
+                fmtPercent(rep.fabric_utilization).c_str());
+    std::printf("  bytes moved   : %s\n",
+                fmtBytes(rep.total_bytes).c_str());
+    std::printf("  replay        : %s\n",
+                elig.eligible ? "eligible (lockstep training mix)"
+                              : elig.reason.c_str());
+
+    RunReport report = clusterReport(topo, cfg, "free-running");
+    report.setNumber("makespan_ns", rep.makespan);
+    report.setNumber("fabric_utilization", rep.fabric_utilization);
+    report.setNumber("total_bytes", rep.total_bytes);
+    report.addSection("jobs", jobsJson(rep.jobs));
+    report.addSection("classes", classesJson(rep.classes));
+    finishRun(o, topo, cl.runtime(), "", report, telem);
+    return 0;
+}
+
+int
+runCluster(const Options& o, Telemetry& telem)
+{
+    // Multi-job co-simulation on one shared fabric. Free-running by
+    // default; --exact/--no-replay/--cycle-limit select the lockstep
+    // convergence path through the period-k steady-cycle replay
+    // engine.
+    const Topology topo = resolveTopology(o.topo);
+    runtime::RuntimeConfig cfg =
+        clusterConfig(runConfig(o, topo, telem), o.tier_ratio);
+    const int iterations = o.iterations > 0 ? o.iterations : 3;
+    const std::vector<cluster::JobSpec> specs =
+        parseJobSpecs(o.jobs_spec, iterations);
+    PlanCache cache;
+    cfg.plan_cache = &cache;
+
+    std::printf("%s", topo.describe().c_str());
+    std::printf("\n%zu-job cluster co-simulation (%s, policy %s):\n\n",
+                specs.size(), schedulerKindName(cfg.scheduler).c_str(),
+                cfg.priority.describe().c_str());
+
+    cluster::JobScheduler sched(specs);
+    const bool lockstep = o.exact || o.no_replay || o.cycle_limit > 0;
+    std::vector<TimeNs> offsets;
+    if (o.offset_search) {
+        offsets = searchOffsets(topo, cfg, specs, o.jobs);
+        if (!lockstep)
+            sched.shiftArrivals(offsets);
+    }
+    if (lockstep)
+        return runClusterLockstep(o, topo, cfg, std::move(sched), offsets,
+                                  iterations, telem);
+    return runClusterFree(o, topo, cfg, std::move(sched), telem);
+}
+
+// ------------------------------------------------------------- --serve
+
+/** One --serve query line (grammar in README's --serve section). */
+struct Query
+{
+    std::string line;
+    std::string error; ///< non-empty: rejected at parse
+    std::string key;
+    std::optional<Topology> topo;
+    std::size_t sched = 2; ///< schedulerSetups() index (scf)
+    int chunks = 0;
+    CollectiveType type = CollectiveType::AllReduce;
+    Bytes size = 0.0;
+    bool is_model = false;
+    std::string model;
+    int iters = 3;
+};
+
+/** Strict positive value of a query field; false when malformed. */
+bool
+positiveField(const std::string& v, bool integer, double& out)
+{
+    try {
+        out = integer ? parseInt(v, "field") : parseNumber(v, "field");
+    } catch (const ConfigError&) {
+        return false;
+    }
+    return out > 0.0;
+}
+
+Query
+parseQuery(const std::string& line, const Options& o)
+{
+    Query q;
+    q.line = line;
+    q.chunks = o.chunks;
+    q.size = o.size;
+    const auto fail = [&q](std::string error) {
+        q.error = std::move(error);
+        return q;
+    };
+    std::string topo_tok, type_tok = o.type;
+    std::istringstream in(line);
+    std::string tok;
+    while (in >> tok) {
+        const std::size_t eq = tok.find('=');
+        if (eq == std::string::npos)
+            return fail("token '" + tok + "' is not key=value");
+        const std::string key = toLower(tok.substr(0, eq));
+        const std::string val = tok.substr(eq + 1);
+        if (val.find_first_of(";=") != std::string::npos)
+            return fail("value '" + val +
+                        "' contains a reserved ';' or '='");
+        double num = 0.0;
+        if (key == "topo") {
+            topo_tok = val;
+        } else if (key == "sched") {
+            const auto s = schedIndex(toLower(val));
+            if (!s)
+                return fail("bad sched '" + val + "' (base|fifo|scf)");
+            q.sched = *s;
+        } else if (key == "chunks" || key == "iters") {
+            if (!positiveField(val, true, num))
+                return fail("bad " + key + " '" + val + "'");
+            (key == "chunks" ? q.chunks : q.iters) = static_cast<int>(num);
+        } else if (key == "type") {
+            type_tok = toLower(val);
+        } else if (key == "size") {
+            if (!positiveField(val, false, num))
+                return fail("bad size '" + val + "'");
+            q.size = num;
+        } else if (key == "model") {
+            q.is_model = true;
+            q.model = val;
+        } else {
+            return fail("unknown key '" + key +
+                        "' (topo sched chunks type size model iters)");
+        }
+    }
+    if (topo_tok.empty())
+        return fail("topo= is required");
+    try {
+        q.topo = resolveTopology(topo_tok);
+        if (q.is_model)
+            (void)models::byName(q.model);
+    } catch (const ConfigError& e) {
+        return fail(e.what());
+    }
+    if (!q.is_model) {
+        const auto type = collectiveType(type_tok);
+        if (!type)
+            return fail("bad type '" + type_tok + "' (ar|rs|ag|a2a)");
+        q.type = *type;
+    }
+    q.key = resultKey(
+        topo_tok, schedulerSetups()[q.sched], q.chunks, o.enforce,
+        q.is_model ? std::vector<std::pair<std::string, std::string>>{
+                         {"model", q.model},
+                         {"iters", std::to_string(q.iters)}}
+                   : collectiveFields(type_tok, q.size));
+    return q;
+}
+
+/** Simulate one query: a collective, or a convergence replay. */
+Values
+evalQuery(const Query& q, const Options& o, PlanCache& cache,
+          sim::EventQueue& queue)
+{
+    runtime::RuntimeConfig cfg =
+        baseConfig(o, schedulerSetups()[q.sched].cfg);
+    cfg.default_chunks = q.chunks;
+    cfg.plan_cache = &cache;
+    if (!q.is_model)
+        return collectiveValues(queue, *q.topo, cfg, q.type, q.size);
+    runtime::CommRuntime comm(queue, *q.topo, cfg);
+    workload::TrainingLoop loop(comm, models::byName(q.model));
+    workload::ConvergenceOptions copts;
+    copts.iterations = q.iters;
+    const auto r = workload::runConverged(comm, loop, copts);
+    return {{"total_ns", r.total.total},
+            {"iter_ns", r.last.total},
+            {"util", r.utilization}};
+}
+
+/** The --serve loop's memo, warm plan cache and counters. */
+struct ServeState
+{
+    std::unique_ptr<sim::ResultStore> store;
+    std::unordered_map<std::string, sim::ResultRecord> session;
+    PlanCache cache;
+    std::size_t queries = 0, hits = 0, misses = 0, errors = 0;
+    double hit_ms = 0.0, miss_ms = 0.0;
+
+    const sim::ResultRecord*
+    find(const std::string& key) const
+    {
+        if (store != nullptr)
+            return store->find(key);
+        const auto it = session.find(key);
+        return it == session.end() ? nullptr : &it->second;
+    }
+};
+
+/**
+ * Answer one batch: its unique unanswered keys simulate in parallel;
+ * everything else is a memoized hit.
+ */
+void
+serveBatch(const std::vector<Query>& batch, ServeState& s,
+           const Options& o, Telemetry& telem)
+{
+    if (batch.empty())
+        return;
+    std::vector<std::size_t> miss_idx;
+    std::unordered_set<std::string> batch_keys;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Query& q = batch[i];
+        if (q.error.empty() && s.find(q.key) == nullptr &&
+            batch_keys.insert(q.key).second)
+            miss_idx.push_back(i);
+    }
+    const auto outs = sim::sweepIndexed(
+        miss_idx.size(),
+        [&](std::size_t j, sim::EventQueue& queue) {
+            return timed([&] {
+                return evalQuery(batch[miss_idx[j]], o, s.cache, queue);
+            });
+        },
+        sim::SweepOptions{o.jobs});
+    std::unordered_map<std::string, double> simulated_ms;
+    for (std::size_t j = 0; j < miss_idx.size(); ++j) {
+        const std::string& key = batch[miss_idx[j]].key;
+        simulated_ms[key] = outs[j].wall_ms;
+        if (s.store != nullptr)
+            s.store->append(makeRecord(key, outs[j]));
+        else
+            s.session.emplace(key, makeRecord(key, outs[j]));
+    }
+    auto& m = telem.metrics;
+    for (const Query& q : batch) {
+        ++s.queries;
+        m.counter("serve.queries").add();
+        if (!q.error.empty()) {
+            ++s.errors;
+            m.counter("serve.errors").add();
+            std::printf("error: %s (query '%s')\n", q.error.c_str(),
+                        q.line.c_str());
+            continue;
+        }
+        const auto sim_it = simulated_ms.find(q.key);
+        const bool miss = sim_it != simulated_ms.end();
+        const double t0 = nowMs();
+        const sim::ResultRecord* rec = s.find(q.key);
+        double ms = nowMs() - t0;
+        THEMIS_ASSERT(rec != nullptr,
+                      "serve: evaluated query missing from the store");
+        std::string vals;
+        for (const auto& [name, v] : rec->values)
+            vals += " " + name + "=" + sim::keyDouble(v);
+        if (miss) {
+            ms = sim_it->second;
+            // Further repeats in this batch are hits.
+            simulated_ms.erase(sim_it);
+            ++s.misses;
+            s.miss_ms += ms;
+        } else {
+            ++s.hits;
+            s.hit_ms += ms;
+        }
+        m.counter(miss ? "serve.misses" : "serve.hits").add();
+        m.histogram(miss ? "serve.miss_ns" : "serve.hit_ns")
+            .record(ms * 1e6);
+        m.histogram("serve.query_ns").record(ms * 1e6);
+        std::printf("result %s ::%s (%s %.4f ms)\n", q.key.c_str(),
+                    vals.c_str(), miss ? "miss" : "hit", ms);
+    }
+}
+
+int
+runServe(const Options& o, Telemetry& telem)
+{
+    // Memoized what-if query loop. Misses of each batch fan across the
+    // sweep workers against one warm shared plan cache; repeats —
+    // within a batch, across batches, or recorded by an earlier
+    // grid/serve run in --results — are answered from the store
+    // without re-simulating.
+    ServeState s;
+    if (!o.results.empty())
+        s.store = std::make_unique<sim::ResultStore>(o.results);
+    std::vector<Query> batch;
+    std::string line;
+    while (std::getline(std::cin, line)) {
+        if (line.find_first_not_of(" \t\r") != std::string::npos) {
+            batch.push_back(parseQuery(line, o));
+            continue;
+        }
+        serveBatch(batch, s, o, telem);
+        batch.clear();
+    }
+    serveBatch(batch, s, o, telem);
+
+    const double mean_hit =
+        s.hits > 0 ? s.hit_ms / static_cast<double>(s.hits) : 0.0;
+    const double mean_miss =
+        s.misses > 0 ? s.miss_ms / static_cast<double>(s.misses) : 0.0;
+    std::printf("serve summary: queries=%zu hits=%zu misses=%zu "
+                "errors=%zu mean_hit_ms=%.4f mean_miss_ms=%.3f",
+                s.queries, s.hits, s.misses, s.errors, mean_hit,
+                mean_miss);
+    if (s.hits > 0 && s.misses > 0 && mean_hit > 0.0)
+        std::printf(" warm_speedup=%.1fx", mean_miss / mean_hit);
+    std::printf("\n");
+    RunReport report("serve");
+    std::printf("plan cache: %s\n", planCacheSummary(s.cache, report).c_str());
+    report.setInfo("results_store", o.results);
+    report.setNumber("queries", s.queries);
+    report.setNumber("hits", s.hits);
+    report.setNumber("misses", s.misses);
+    report.setNumber("errors", s.errors);
+    report.setNumber("mean_hit_ms", mean_hit);
+    report.setNumber("mean_miss_ms", mean_miss);
+    emitReport(report, o.report, &telem);
+    return 0;
+}
+
+// ------------------------------------------------------ --grid/--sweep
+
+/**
+ * The grid's cells, enumerated topology-major by pure index
+ * arithmetic — (topology, jobs mix, chunks, scheduler) — so every
+ * process, whatever its --shard, agrees on cell order and keys.
+ */
+struct Grid
+{
+    std::vector<GridTopo> topos;
+    std::vector<int> chunk_list;
+    std::vector<JobsMix> mixes;
+
+    std::size_t perMix() const { return chunk_list.size() * kSchedulers; }
+    std::size_t perTopo() const
+    {
+        return (mixes.empty() ? 1 : mixes.size()) * perMix();
+    }
+    std::size_t cells() const { return topos.size() * perTopo(); }
+    const GridTopo& topo(std::size_t i) const { return topos[i / perTopo()]; }
+    std::size_t mix(std::size_t i) const { return i % perTopo() / perMix(); }
+    int chunks(std::size_t i) const
+    {
+        return chunk_list[i % perMix() / kSchedulers];
+    }
+    const SchedulerSetup& sched(std::size_t i) const
+    {
+        return schedulerSetups()[i % kSchedulers];
+    }
+};
+
+/** --grid topologies (or --topo), --sweep chunk counts, --jobs mixes. */
+Grid
+planGrid(const Options& o)
+{
+    Grid g;
+    if (!o.grid.empty())
+        g.topos = parseGridList(o.grid);
+    else
+        g.topos.push_back({o.topo, resolveTopology(o.topo)});
+    if (o.sweep.empty())
+        g.chunk_list.push_back(o.chunks);
+    for (const auto& tok : o.sweep.empty() ? std::vector<std::string>{}
+                                           : split(o.sweep, ',')) {
+        const int c = parseInt(tok, "--sweep chunk count");
+        if (c < 1)
+            THEMIS_FATAL("bad --sweep chunk count list '" << o.sweep
+                                                          << "'");
+        g.chunk_list.push_back(c);
+    }
+    if (!o.jobs_spec.empty())
+        g.mixes = parseJobsMixes(o.jobs_spec, 3);
+    return g;
+}
+
+std::string
+cellKey(const Grid& g, std::size_t i, const Options& o)
+{
+    if (g.mixes.empty())
+        return resultKey(g.topo(i).token, g.sched(i), g.chunks(i),
+                         o.enforce, collectiveFields(o.type, o.size));
+    // Mix specs contain '=' (reserved in keys), so the jobs field is
+    // a content hash of the mix.
+    const std::string& mix = g.mixes[g.mix(i)].token;
+    return resultKey(
+        g.topo(i).token, g.sched(i), g.chunks(i), o.enforce,
+        {{"jobs", sim::hex16(fnv1aBytes(mix.data(), mix.size()))},
+         {"tiers", sim::keyDouble(o.tier_ratio)}});
+}
+
+Values
+evalCell(const Grid& g, std::size_t i, const Options& o,
+         PlanCache& cache, sim::EventQueue& queue)
+{
+    runtime::RuntimeConfig cfg = baseConfig(o, g.sched(i).cfg);
+    cfg.default_chunks = g.chunks(i);
+    cfg.plan_cache = &cache;
+    const Topology& topo = g.topo(i).topo;
+    if (g.mixes.empty())
+        return collectiveValues(queue, topo, cfg, *collectiveType(o.type),
+                                o.size);
+    // One cluster co-simulation per cell, under the same tiered policy
+    // the standalone cluster mode uses.
+    cluster::Cluster cl(queue, topo, clusterConfig(cfg, o.tier_ratio),
+                        g.mixes[g.mix(i)].specs);
+    const auto rep = cl.run();
+    return {{"makespan_ns", rep.makespan},
+            {"fabric_util", rep.fabric_utilization},
+            {"total_bytes", rep.total_bytes}};
+}
+
+/**
+ * Print the table of every owned cell with a result (fresh, or
+ * recorded in @p store); returns the --report "cells" section.
+ */
+std::string
+printGridTable(const Grid& g, const Options& o,
+               const std::vector<std::size_t>& owned,
+               const std::vector<std::size_t>& pending,
+               const std::vector<CellOutcome>& fresh,
+               const sim::ResultStore* store)
+{
+    if (g.mixes.empty())
+        std::printf("%s of %s, %zu-cell grid over %zu topologies:\n\n",
+                    collectiveTypeName(*collectiveType(o.type)).c_str(),
+                    fmtBytes(o.size).c_str(), g.cells(), g.topos.size());
+    else
+        std::printf("%zu-mix cluster grid, %zu cells over %zu topologies "
+                    "(policy tiered(%g)):\n\n",
+                    g.mixes.size(), g.cells(), g.topos.size(),
+                    o.tier_ratio);
+    stats::TextTable t(
+        g.mixes.empty()
+            ? std::vector<std::string>{"Topology", "Chunks", "Scheduler",
+                                       "Time", "Avg BW util"}
+            : std::vector<std::string>{"Topology", "Jobs", "Chunks",
+                                       "Scheduler", "Makespan",
+                                       "Fabric util"});
+    const auto valueOf = [](const Values& vals, const char* name) {
+        for (const auto& [n, v] : vals)
+            if (n == name)
+                return v;
+        return 0.0;
+    };
+    stats::telemetry::JsonWriter cellw;
+    cellw.beginArray();
+    std::size_t jp = 0;
+    for (std::size_t cell : owned) {
+        const Values* vals = nullptr;
+        if (jp < pending.size() && pending[jp] == cell) {
+            vals = &fresh[jp].values;
+            ++jp;
+        } else if (store != nullptr) {
+            const auto* rec = store->find(cellKey(g, cell, o));
+            if (rec != nullptr)
+                vals = &rec->values;
+        }
+        if (vals == nullptr)
+            continue; // beyond the --max-cells cap
+        cellw.beginObject();
+        cellw.key("key").value(cellKey(g, cell, o));
+        cellw.key("values").beginObject();
+        for (const auto& [n, v] : *vals)
+            cellw.key(n).value(v);
+        cellw.endObject();
+        cellw.endObject();
+        const std::string topo_name = g.topo(cell).topo.name();
+        const std::string chunks = std::to_string(g.chunks(cell));
+        if (g.mixes.empty())
+            t.addRow({topo_name, chunks, g.sched(cell).name,
+                      fmtTime(valueOf(*vals, "time_ns")),
+                      fmtPercent(valueOf(*vals, "util"))});
+        else
+            t.addRow({topo_name, g.mixes[g.mix(cell)].token, chunks,
+                      g.sched(cell).name,
+                      fmtTime(valueOf(*vals, "makespan_ns")),
+                      fmtPercent(valueOf(*vals, "fabric_util"))});
+    }
+    cellw.endArray();
+    std::printf("%s", t.render().c_str());
+    return cellw.str();
+}
+
+int
+runGrid(const Options& o, Telemetry& telem)
+{
+    // Every grid cell is one independent simulation; one plan cache is
+    // shared read-mostly across the workers. --shard I/N owns the
+    // strided subset, --results streams completed cells to a
+    // crash-safe journal whose recorded cells are skipped on restart,
+    // and --max-cells caps fresh work to interrupt a run
+    // deterministically (resume testing).
+    const Grid g = planGrid(o);
+    const std::size_t cells = g.cells();
+    sim::ShardSpec shard;
+    if (!o.shard.empty())
+        shard = sim::parseShardSpec(o.shard);
+    const std::vector<std::size_t> owned = sim::shardCells(cells, shard);
+    std::unique_ptr<sim::ResultStore> store;
+    if (!o.results.empty())
+        store = std::make_unique<sim::ResultStore>(o.results);
+
+    std::vector<std::size_t> pending;
+    for (std::size_t cell : owned)
+        if (store == nullptr || !store->has(cellKey(g, cell, o)))
+            pending.push_back(cell);
+    const std::size_t resumed = owned.size() - pending.size();
+    const bool interrupted =
+        o.max_cells > 0 &&
+        pending.size() > static_cast<std::size_t>(o.max_cells);
+    if (interrupted)
+        pending.resize(static_cast<std::size_t>(o.max_cells));
+
+    PlanCache cache;
+    const double t0 = nowMs();
+    const auto fresh = sim::sweepIndexed(
+        pending.size(),
+        [&](std::size_t j, sim::EventQueue& queue) {
+            return timed(
+                [&] { return evalCell(g, pending[j], o, cache, queue); });
+        },
+        sim::SweepOptions{o.jobs});
+    const double wall_ms = nowMs() - t0;
+    // Journal the fresh cells in canonical cell order (pending is
+    // ascending), so independently produced shard journals merge
+    // deterministically.
+    for (std::size_t j = 0; store != nullptr && j < pending.size(); ++j)
+        store->append(makeRecord(cellKey(g, pending[j], o), fresh[j]));
+
+    const std::string cells_json =
+        printGridTable(g, o, owned, pending, fresh, store.get());
+    if (!shard.whole() || store != nullptr) {
+        std::printf("\nshard %d/%d: %zu of %zu cells owned, %zu resumed "
+                    "from store, %zu simulated%s",
+                    shard.index, shard.count, owned.size(), cells, resumed,
+                    pending.size(),
+                    interrupted ? " (interrupted by --max-cells)" : "");
+        if (store != nullptr)
+            std::printf("; store %s (%zu records%s)",
+                        store->path().c_str(), store->size(),
+                        store->recoveredTruncatedTail()
+                            ? ", truncated tail recovered"
+                            : "");
+        std::printf("\n");
+    }
+    RunReport report("grid");
+    std::printf("\n%.1f ms wall (%.1f cells/sec over %zu simulated "
+                "cells); plan cache %s\n",
+                wall_ms, static_cast<double>(pending.size()) /
+                             (wall_ms * 1e-3),
+                pending.size(), planCacheSummary(cache, report).c_str());
+    report.setInfo(o.grid.empty() ? "topology" : "grid",
+                   o.grid.empty() ? o.topo : o.grid);
+    if (!o.sweep.empty())
+        report.setInfo("sweep", o.sweep);
+    if (!o.jobs_spec.empty())
+        report.setInfo("jobs", o.jobs_spec);
+    if (!o.shard.empty())
+        report.setInfo("shard", o.shard);
+    const std::tuple<const char*, const char*, std::size_t> counts[] = {
+        {"cells", "grid.cells.total", cells},
+        {"owned", "grid.cells.owned", owned.size()},
+        {"resumed", "grid.cells.resumed", resumed},
+        {"simulated", "grid.cells.simulated", pending.size()}};
+    for (const auto& [name, gauge, n] : counts) {
+        telem.metrics.gauge(gauge).set(static_cast<double>(n));
+        report.setNumber(name, n);
+    }
+    report.setNumber("wall_ms", wall_ms);
+    report.addSection("cells", cells_json);
+    emitReport(report, o.report, &telem);
+    return 0;
+}
+
+// --------------------------------------------------------------- main
+
+/**
+ * A transfer ran out of retry budget: surface the structured report
+ * as a readable diagnostic, replay the flight-recorder tail, persist
+ * the partial artifacts, and exit distinctly (2) so scripts can tell
+ * "fabric gave up" from a config mistake.
+ */
+int
+retryExhausted(const runtime::RetryExhaustedError& e, const Options& o,
+               const Telemetry& telem)
+{
+    const auto& r = e.report();
+    std::fprintf(stderr,
+                 "fatal: retry budget exhausted on dim%d (collective %d "
+                 "chunk %d stage %d, %d attempts, %s re-sent); raise retry "
+                 "max attempts or shorten the fault windows\n",
+                 r.dim + 1, r.op.collective_id, r.op.chunk_id,
+                 r.op.stage_index, r.attempts,
+                 fmtBytes(r.lost_bytes).c_str());
+    const auto events = telem.recorder.events();
+    if (!events.empty()) {
+        const std::size_t tail = std::min<std::size_t>(events.size(), 16);
+        std::fprintf(stderr,
+                     "flight recorder (last %zu of %llu event(s)):\n", tail,
+                     static_cast<unsigned long long>(
+                         telem.recorder.totalRecorded()));
+        for (std::size_t i = events.size() - tail; i < events.size(); ++i)
+            std::fprintf(
+                stderr, "  %s\n",
+                stats::telemetry::describeFlightEvent(events[i]).c_str());
+    }
+    if (telem.trace != nullptr) {
+        telem.trace->writeFile(o.trace);
+        std::fprintf(stderr, "trace (partial): %s\n", o.trace.c_str());
+    }
+    if (!o.report.empty()) {
+        RunReport report("fatal");
+        report.setInfo("error", "retry budget exhausted");
+        report.setNumber("dim", r.dim);
+        report.setNumber("attempts", r.attempts);
+        report.setNumber("lost_bytes", r.lost_bytes);
+        report.setNumber("collective", r.op.collective_id);
+        report.setNumber("chunk", r.op.chunk_id);
+        report.setNumber("stage", r.op.stage_index);
+        report.attachMetrics(&telem.metrics);
+        report.attachRecorder(&telem.recorder);
+        report.writeFile(o.report);
+        std::fprintf(stderr, "report (mode fatal): %s\n",
+                     o.report.c_str());
+    }
+    return 2;
 }
 
 } // namespace
@@ -676,1624 +2041,28 @@ printAdaptationSummary(const runtime::CommRuntime& comm)
 int
 main(int argc, char** argv)
 {
-    std::string topo_arg = "3D-SW_SW_SW_homo";
-    std::string type_arg = "ar";
-    std::string sched_arg = "scf";
-    Bytes size = 1.0e9;
-    int chunks = 64;
-    bool enforce = false;
-    bool validate = false;
-    std::string trace_path;
-    std::string report_path;
-    std::string sweep_arg;
-    std::string grid_arg;
-    std::string jobs_arg;
-    double priority_ratio = 0.0;
-    double tier_ratio = 4.0;
-    bool offset_search = false;
-    int jobs = 0;
-    int iterations = 0;
-    std::string model_arg = "Transformer-1T";
-    bool exactness = false;
-    bool no_replay = false;
-    int cycle_limit = 0; // 0 = auto (job-mix hyper-period)
-    std::string faults_arg;
-    bool adapt = false;
-    double replan_threshold = 0.05;
-    std::string shard_arg;
-    std::string results_path;
-    std::string merge_arg;
-    int max_cells = 0;
-    bool serve = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto need_value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (flag == "--topo") {
-            topo_arg = need_value();
-        } else if (flag == "--type") {
-            type_arg = toLower(need_value());
-        } else if (flag == "--size") {
-            size = std::atof(need_value().c_str());
-        } else if (flag == "--chunks") {
-            chunks = std::atoi(need_value().c_str());
-        } else if (flag == "--sched") {
-            sched_arg = toLower(need_value());
-        } else if (flag == "--enforce") {
-            enforce = true;
-        } else if (flag == "--trace") {
-            trace_path = need_value();
-        } else if (flag == "--report") {
-            report_path = need_value();
-        } else if (flag == "--validate") {
-            validate = true;
-        } else if (flag == "--sweep") {
-            sweep_arg = need_value();
-        } else if (flag == "--grid") {
-            grid_arg = need_value();
-        } else if (flag == "--priority") {
-            priority_ratio = ratioFlag("--priority", need_value());
-        } else if (flag == "--jobs") {
-            // An integer keeps the historical meaning (sweep worker
-            // threads); anything else is a multi-job cluster spec.
-            const std::string v = need_value();
-            if (isInteger(v))
-                jobs = std::atoi(v.c_str());
-            else
-                jobs_arg = v;
-        } else if (flag == "--tier-ratio") {
-            tier_ratio = ratioFlag("--tier-ratio", need_value());
-        } else if (flag == "--offset-search") {
-            offset_search = true;
-        } else if (flag == "--iterations") {
-            iterations = std::atoi(need_value().c_str());
-            if (iterations < 1)
-                usage(argv[0]);
-        } else if (flag == "--model") {
-            model_arg = need_value();
-        } else if (flag == "--exact") {
-            exactness = true;
-        } else if (flag == "--no-replay") {
-            no_replay = true;
-        } else if (flag == "--cycle-limit") {
-            cycle_limit = std::atoi(need_value().c_str());
-            if (cycle_limit < 1) {
-                std::fprintf(stderr,
-                             "--cycle-limit wants an integer >= 1 "
-                             "(rounds); got '%s'\n",
-                             argv[i]);
-                usage(argv[0]);
-            }
-        } else if (flag == "--faults") {
-            faults_arg = need_value();
-        } else if (flag == "--adapt") {
-            adapt = true;
-        } else if (flag == "--replan-threshold") {
-            replan_threshold = std::atof(need_value().c_str());
-            if (replan_threshold < 0.0)
-                usage(argv[0]);
-        } else if (flag == "--shard") {
-            shard_arg = need_value();
-        } else if (flag == "--results") {
-            results_path = need_value();
-        } else if (flag == "--max-cells") {
-            max_cells = std::atoi(need_value().c_str());
-            if (max_cells < 1)
-                usage(argv[0]);
-        } else if (flag == "--merge") {
-            merge_arg = need_value();
-        } else if (flag == "--serve") {
-            serve = true;
-        } else {
-            usage(argv[0]);
-        }
-    }
-
-    // The telemetry sink and trace writer outlive the try block so
-    // the RetryExhaustedError path can dump the flight-recorder tail
-    // and write a mode-"fatal" report / partial trace.
-    stats::telemetry::Telemetry telem;
+    // The telemetry sink and trace writer outlive the try block so the
+    // RetryExhaustedError path can dump the flight-recorder tail and
+    // write a mode-"fatal" report / partial trace.
+    Options o;
+    Telemetry telem;
     stats::TraceWriter trace;
-
     try {
-        if (!merge_arg.empty()) {
-            // Offline canonical merge of shard result stores: the
-            // output is byte-equal to the canonicalBytes() of a
-            // 1-process run over the same grid, so a plain diff (or
-            // cmp) proves the sharded execution exact.
-            const std::vector<std::string> parts =
-                split(merge_arg, ',');
-            if (parts.size() < 2)
-                THEMIS_FATAL("--merge wants OUT,IN1[,IN2,...]; got '"
-                             << merge_arg << "'");
-            const std::vector<std::string> inputs(parts.begin() + 1,
-                                                  parts.end());
-            const std::string merged =
-                sim::ResultStore::canonicalMerge(inputs);
-            std::FILE* f = std::fopen(parts.front().c_str(), "wb");
-            if (f == nullptr)
-                THEMIS_FATAL("--merge: cannot write '" << parts.front()
-                                                       << "'");
-            std::fwrite(merged.data(), 1, merged.size(), f);
-            std::fclose(f);
-            std::printf("merged %zu store(s) -> %s (%zu bytes, "
-                        "canonical)\n",
-                        inputs.size(), parts.front().c_str(),
-                        merged.size());
-            if (!report_path.empty()) {
-                stats::telemetry::RunReport report("merge");
-                report.setInfo("output", parts.front());
-                report.setNumber("inputs",
-                                 static_cast<double>(inputs.size()));
-                report.setNumber("bytes",
-                                 static_cast<double>(merged.size()));
-                emitReport(report, report_path, nullptr);
-            }
-            return 0;
-        }
-
-        const Topology topo = resolveTopology(topo_arg);
-
-        CollectiveRequest req;
-        req.size = size;
-        req.chunks = chunks;
-        if (type_arg == "ar")
-            req.type = CollectiveType::AllReduce;
-        else if (type_arg == "rs")
-            req.type = CollectiveType::ReduceScatter;
-        else if (type_arg == "ag")
-            req.type = CollectiveType::AllGather;
-        else if (type_arg == "a2a")
-            req.type = CollectiveType::AllToAll;
-        else
-            usage(argv[0]);
-
-        runtime::RuntimeConfig cfg;
-        if (sched_arg == "base")
-            cfg = runtime::baselineConfig();
-        else if (sched_arg == "fifo")
-            cfg = runtime::themisFifoConfig();
-        else if (sched_arg == "scf")
-            cfg = runtime::themisScfConfig();
-        else
-            usage(argv[0]);
-        cfg.enforce_consistent_order = enforce;
-
-        // Fault timelines drive one runtime's FaultDriver; the batch
-        // modes build their own per-cell configs, so reject the
-        // combination loudly instead of silently ignoring the spec.
-        sim::FaultTimeline faults_tl;
-        if (!faults_arg.empty()) {
-            if (serve || !grid_arg.empty() || !sweep_arg.empty() ||
-                priority_ratio >= 1.0)
-                THEMIS_FATAL("--faults applies to the "
-                             "single-collective, --iterations and "
-                             "--jobs runs; drop it for "
-                             "--grid/--sweep/--serve/--priority");
-            faults_tl = sim::FaultTimeline::parse(faults_arg);
-            faults_tl.validateForDims(topo.numDims());
-            cfg.faults = &faults_tl;
-        }
-        cfg.adaptation.enabled = adapt;
-        cfg.adaptation.replan_threshold = replan_threshold;
-
-        // Telemetry rides along whenever an artifact was requested.
-        // The registry is single-threaded, so only the single-runtime
-        // modes (single collective, --iterations, --jobs cluster)
-        // plug it into the runtime config; the batch modes
-        // (--grid/--sweep/--serve/--priority) run cells on worker
-        // threads and publish main-thread metrics plus their own
-        // report sections instead.
-        if (!trace_path.empty())
+        o = parseArgs(argc, argv);
+        if (!o.trace.empty())
             telem.trace = &trace;
-        if ((!report_path.empty() || !trace_path.empty()) && !serve &&
-            grid_arg.empty() && sweep_arg.empty() &&
-            priority_ratio < 1.0)
-            cfg.telemetry = &telem;
-
-        // --cycle-limit tunes the period-k convergence replay engine;
-        // the batch/service modes simulate every cell in full and
-        // would silently ignore it — reject the combination loudly.
-        if (cycle_limit > 0 &&
-            (serve || !grid_arg.empty() || !sweep_arg.empty() ||
-             priority_ratio >= 1.0)) {
-            THEMIS_FATAL(
-                "--cycle-limit tunes the convergence replay engine; "
-                "--grid/--sweep/--serve/--priority cells never "
-                "replay — drop it, or run --iterations/--jobs");
-        }
-
-        if (serve) {
-            // Memoized what-if query loop (grammar in the usage
-            // comment). Misses of each batch fan across the sweep
-            // workers against one warm shared plan cache; repeats —
-            // within a batch, across batches, or recorded by an
-            // earlier grid/serve run in --results — are answered from
-            // the store without re-simulating. Collective query keys
-            // are identical to --grid cell keys, so a sharded grid
-            // pre-populates the service.
-            const std::vector<SchedulerSetup> setups =
-                schedulerSetups();
-            std::unique_ptr<sim::ResultStore> store;
-            if (!results_path.empty())
-                store =
-                    std::make_unique<sim::ResultStore>(results_path);
-            std::unordered_map<std::string, sim::ResultRecord> session;
-            PlanCache cache;
-
-            struct Query
-            {
-                std::string line;
-                std::string error; ///< non-empty: rejected at parse
-                std::string key;
-                std::optional<Topology> topo;
-                std::size_t sched = 2; ///< setups index (scf)
-                int chunks = 0;
-                CollectiveType type = CollectiveType::AllReduce;
-                Bytes size = 0.0;
-                bool is_model = false;
-                std::string model;
-                int iters = 3;
-            };
-            auto parseQuery = [&](const std::string& line) {
-                Query q;
-                q.line = line;
-                q.chunks = chunks;
-                q.size = size;
-                std::string topo_tok, type_tok = type_arg;
-                std::istringstream in(line);
-                std::string tok;
-                while (in >> tok) {
-                    const std::size_t eq = tok.find('=');
-                    if (eq == std::string::npos) {
-                        q.error =
-                            "token '" + tok + "' is not key=value";
-                        return q;
-                    }
-                    const std::string key = toLower(tok.substr(0, eq));
-                    const std::string val = tok.substr(eq + 1);
-                    if (val.find_first_of(";=") != std::string::npos) {
-                        q.error = "value '" + val +
-                                  "' contains a reserved ';' or '='";
-                        return q;
-                    }
-                    if (key == "topo") {
-                        topo_tok = val;
-                    } else if (key == "sched") {
-                        const std::string s = toLower(val);
-                        if (s == "base")
-                            q.sched = 0;
-                        else if (s == "fifo")
-                            q.sched = 1;
-                        else if (s == "scf")
-                            q.sched = 2;
-                        else {
-                            q.error = "bad sched '" + val +
-                                      "' (base|fifo|scf)";
-                            return q;
-                        }
-                    } else if (key == "chunks") {
-                        q.chunks = std::atoi(val.c_str());
-                        if (q.chunks < 1) {
-                            q.error = "bad chunks '" + val + "'";
-                            return q;
-                        }
-                    } else if (key == "type") {
-                        type_tok = toLower(val);
-                    } else if (key == "size") {
-                        q.size = std::atof(val.c_str());
-                        if (q.size <= 0.0) {
-                            q.error = "bad size '" + val + "'";
-                            return q;
-                        }
-                    } else if (key == "model") {
-                        q.is_model = true;
-                        q.model = val;
-                    } else if (key == "iters") {
-                        q.iters = std::atoi(val.c_str());
-                        if (q.iters < 1) {
-                            q.error = "bad iters '" + val + "'";
-                            return q;
-                        }
-                    } else {
-                        q.error = "unknown key '" + key +
-                                  "' (topo sched chunks type size "
-                                  "model iters)";
-                        return q;
-                    }
-                }
-                if (topo_tok.empty()) {
-                    q.error = "topo= is required";
-                    return q;
-                }
-                try {
-                    q.topo = resolveTopology(topo_tok);
-                    if (q.is_model)
-                        (void)models::byName(q.model);
-                } catch (const ConfigError& e) {
-                    q.error = e.what();
-                    return q;
-                }
-                if (!q.is_model) {
-                    if (type_tok == "ar")
-                        q.type = CollectiveType::AllReduce;
-                    else if (type_tok == "rs")
-                        q.type = CollectiveType::ReduceScatter;
-                    else if (type_tok == "ag")
-                        q.type = CollectiveType::AllGather;
-                    else if (type_tok == "a2a")
-                        q.type = CollectiveType::AllToAll;
-                    else {
-                        q.error = "bad type '" + type_tok +
-                                  "' (ar|rs|ag|a2a)";
-                        return q;
-                    }
-                }
-                std::vector<std::pair<std::string, std::string>> kv = {
-                    {"topo", topo_tok},
-                    {"sched", setups[q.sched].name},
-                    {"chunks", std::to_string(q.chunks)},
-                    {"enforce", enforce ? "1" : "0"}};
-                if (q.is_model) {
-                    kv.push_back({"model", q.model});
-                    kv.push_back({"iters", std::to_string(q.iters)});
-                } else {
-                    kv.push_back({"type", type_tok});
-                    kv.push_back({"size", keyDouble(q.size)});
-                }
-                q.key = sim::makeResultKey(std::move(kv));
-                return q;
-            };
-
-            std::size_t n_q = 0, n_hit = 0, n_miss = 0, n_err = 0;
-            double hit_ms = 0.0, miss_ms = 0.0;
-            std::vector<Query> batch;
-            auto lookupRecord = [&](const std::string& key)
-                -> const sim::ResultRecord* {
-                if (store != nullptr)
-                    return store->find(key);
-                const auto it = session.find(key);
-                return it == session.end() ? nullptr : &it->second;
-            };
-            auto flush = [&]() {
-                if (batch.empty())
-                    return;
-                // The batch's unique unanswered keys simulate in
-                // parallel; everything else is a memoized hit.
-                std::vector<std::size_t> miss_idx;
-                std::unordered_set<std::string> batch_keys;
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    const Query& q = batch[i];
-                    if (!q.error.empty() ||
-                        lookupRecord(q.key) != nullptr ||
-                        !batch_keys.insert(q.key).second)
-                        continue;
-                    miss_idx.push_back(i);
-                }
-                const auto outs = sim::sweepIndexed(
-                    miss_idx.size(),
-                    [&](std::size_t j, sim::EventQueue& queue) {
-                        const Query& q = batch[miss_idx[j]];
-                        const double t0 = nowMs();
-                        CellOutcome out;
-                        runtime::RuntimeConfig run_cfg =
-                            setups[q.sched].cfg;
-                        run_cfg.enforce_consistent_order = enforce;
-                        run_cfg.plan_cache = &cache;
-                        run_cfg.default_chunks = q.chunks;
-                        if (q.is_model) {
-                            runtime::CommRuntime comm(queue, *q.topo,
-                                                      run_cfg);
-                            workload::TrainingLoop loop(
-                                comm, models::byName(q.model));
-                            workload::ConvergenceOptions copts;
-                            copts.iterations = q.iters;
-                            const auto r = workload::runConverged(
-                                comm, loop, copts);
-                            out.values = {
-                                {"total_ns", r.total.total},
-                                {"iter_ns", r.last.total},
-                                {"util", r.utilization}};
-                        } else {
-                            CollectiveRequest r;
-                            r.type = q.type;
-                            r.size = q.size;
-                            r.chunks = q.chunks;
-                            runtime::CommRuntime comm(queue, *q.topo,
-                                                      run_cfg);
-                            const int cid = comm.issue(r);
-                            queue.run();
-                            comm.finalizeStats();
-                            out.values = {
-                                {"time_ns",
-                                 comm.record(cid).duration()},
-                                {"util", comm.utilization()
-                                             .weightedUtilization()}};
-                        }
-                        out.wall_ms = nowMs() - t0;
-                        return out;
-                    },
-                    sim::SweepOptions{jobs});
-                std::unordered_map<std::string, double> simulated_ms;
-                for (std::size_t j = 0; j < miss_idx.size(); ++j) {
-                    const Query& q = batch[miss_idx[j]];
-                    sim::ResultRecord rec;
-                    rec.key = q.key;
-                    rec.values = outs[j].values;
-                    rec.fingerprint =
-                        valuesFingerprint(outs[j].values);
-                    rec.wall_ms = outs[j].wall_ms;
-                    simulated_ms[q.key] = outs[j].wall_ms;
-                    if (store != nullptr)
-                        store->append(std::move(rec));
-                    else
-                        session.emplace(q.key, std::move(rec));
-                }
-                for (const Query& q : batch) {
-                    ++n_q;
-                    telem.metrics.counter("serve.queries").add();
-                    if (!q.error.empty()) {
-                        ++n_err;
-                        telem.metrics.counter("serve.errors").add();
-                        std::printf("error: %s (query '%s')\n",
-                                    q.error.c_str(), q.line.c_str());
-                        continue;
-                    }
-                    const auto sim_it = simulated_ms.find(q.key);
-                    const bool miss = sim_it != simulated_ms.end();
-                    const double t0 = nowMs();
-                    const sim::ResultRecord* rec = lookupRecord(q.key);
-                    double ms = nowMs() - t0;
-                    THEMIS_ASSERT(rec != nullptr,
-                                  "serve: evaluated query missing "
-                                  "from the store");
-                    std::string vals;
-                    for (const auto& [name, v] : rec->values)
-                        vals += " " + name + "=" + keyDouble(v);
-                    if (miss) {
-                        ms = sim_it->second;
-                        // Further repeats in this batch are hits.
-                        simulated_ms.erase(sim_it);
-                        ++n_miss;
-                        miss_ms += ms;
-                        telem.metrics.counter("serve.misses").add();
-                        telem.metrics.histogram("serve.miss_ns")
-                            .record(ms * 1e6);
-                    } else {
-                        ++n_hit;
-                        hit_ms += ms;
-                        telem.metrics.counter("serve.hits").add();
-                        telem.metrics.histogram("serve.hit_ns")
-                            .record(ms * 1e6);
-                    }
-                    telem.metrics.histogram("serve.query_ns")
-                        .record(ms * 1e6);
-                    std::printf("result %s ::%s (%s %.4f ms)\n",
-                                q.key.c_str(), vals.c_str(),
-                                miss ? "miss" : "hit", ms);
-                }
-                batch.clear();
-            };
-
-            std::string line;
-            while (std::getline(std::cin, line)) {
-                if (line.find_first_not_of(" \t\r") ==
-                    std::string::npos) {
-                    flush();
-                    continue;
-                }
-                batch.push_back(parseQuery(line));
-            }
-            flush();
-
-            const double mean_hit =
-                n_hit > 0 ? hit_ms / static_cast<double>(n_hit) : 0.0;
-            const double mean_miss =
-                n_miss > 0 ? miss_ms / static_cast<double>(n_miss)
-                           : 0.0;
-            std::printf("serve summary: queries=%zu hits=%zu "
-                        "misses=%zu errors=%zu mean_hit_ms=%.4f "
-                        "mean_miss_ms=%.3f",
-                        n_q, n_hit, n_miss, n_err, mean_hit,
-                        mean_miss);
-            if (n_hit > 0 && n_miss > 0 && mean_hit > 0.0)
-                std::printf(" warm_speedup=%.1fx",
-                            mean_miss / mean_hit);
-            std::printf("\n");
-            const auto cache_stats = cache.stats();
-            std::printf("plan cache: %zu plans, %llu hits / %llu "
-                        "misses\n",
-                        cache.planCount(),
-                        static_cast<unsigned long long>(
-                            cache_stats.plan_hits),
-                        static_cast<unsigned long long>(
-                            cache_stats.plan_misses));
-            if (!report_path.empty()) {
-                stats::telemetry::RunReport report("serve");
-                report.setInfo("results_store", results_path);
-                report.setNumber("queries",
-                                 static_cast<double>(n_q));
-                report.setNumber("hits", static_cast<double>(n_hit));
-                report.setNumber("misses",
-                                 static_cast<double>(n_miss));
-                report.setNumber("errors",
-                                 static_cast<double>(n_err));
-                report.setNumber("mean_hit_ms", mean_hit);
-                report.setNumber("mean_miss_ms", mean_miss);
-                report.setNumber("plan_cache_plans",
-                                 static_cast<double>(
-                                     cache.planCount()));
-                report.setNumber("plan_cache_hits",
-                                 static_cast<double>(
-                                     cache_stats.plan_hits));
-                report.setNumber("plan_cache_misses",
-                                 static_cast<double>(
-                                     cache_stats.plan_misses));
-                emitReport(report, report_path, &telem);
-            }
-            return 0;
-        }
-
-        if (!jobs_arg.empty() && grid_arg.empty() &&
-            sweep_arg.empty()) {
-            // Multi-job cluster co-simulation on one shared fabric.
-            // Free-running by default; --exact/--no-replay/
-            // --cycle-limit select the lockstep convergence path
-            // through the period-k steady-cycle replay engine.
-            if (priority_ratio >= 1.0) {
-                THEMIS_FATAL(
-                    "--priority is the two-tenant contention demo; "
-                    "cluster runs take --tier-ratio for the weight "
-                    "ladder instead");
-            }
-            const int cluster_iters = iterations >= 1 ? iterations : 3;
-            std::vector<cluster::JobSpec> specs =
-                parseJobSpecs(jobs_arg, cluster_iters);
-
-            // --sched and --chunks apply to the cluster run too (the
-            // Themis scheduler upgrades to its priority-aware variant
-            // when a weight ladder is in play); --size/--type describe
-            // the single-collective mode and are inert here.
-            runtime::RuntimeConfig ccfg = cfg;
-            if (ccfg.scheduler == SchedulerKind::Themis &&
-                tier_ratio > 1.0)
-                ccfg.scheduler = SchedulerKind::ThemisPriority;
-            ccfg.priority = PriorityPolicy::tiered(tier_ratio);
-            ccfg.default_chunks = chunks;
-            PlanCache cache;
-            ccfg.plan_cache = &cache;
-
-            std::printf("%s", topo.describe().c_str());
-            std::printf("\n%zu-job cluster co-simulation (%s, policy "
-                        "%s):\n\n",
-                        specs.size(),
-                        schedulerKindName(ccfg.scheduler).c_str(),
-                        ccfg.priority.describe().c_str());
-
-            cluster::JobScheduler sched(specs);
-
-            const bool lockstep_mode =
-                exactness || no_replay || cycle_limit > 0;
-            std::vector<TimeNs> best_offsets;
-            if (offset_search) {
-                cluster::OffsetSearchOptions sopts;
-                sopts.threads = jobs;
-                const auto res = cluster::searchPhaseOffsets(
-                    topo, ccfg, specs, sopts);
-                stats::TextTable t(
-                    {"Phase fraction", "Aggregate iter time"});
-                for (std::size_t i = 0; i < res.candidates.size();
-                     ++i) {
-                    t.addRow({fmtDouble(
-                                  static_cast<double>(i) /
-                                      res.candidates.size(),
-                                  3),
-                              fmtTime(res.candidates[i].metric)});
-                }
-                std::printf("%s", t.render().c_str());
-                std::printf("\n  offset search: zero-offset %s -> "
-                            "best %s (base period %s)\n\n",
-                            fmtTime(res.zero_metric).c_str(),
-                            fmtTime(res.best.metric).c_str(),
-                            fmtTime(res.base_period).c_str());
-                if (lockstep_mode) {
-                    // The lockstep path applies offsets as per-round
-                    // phase delays (rounds restart from quiescence,
-                    // so arrival shifts cannot survive them).
-                    best_offsets = res.best.offsets;
-                } else {
-                    sched = cluster::JobScheduler(specs);
-                    sched.shiftArrivals(res.best.offsets);
-                }
-            }
-
-            if (lockstep_mode) {
-                const std::int64_t limit =
-                    cycle_limit > 0
-                        ? cycle_limit
-                        : cluster::JobScheduler::kDefaultCycleLimit;
-                const auto plan = sched.lockstepPlan(limit);
-                if (!plan.eligible)
-                    THEMIS_FATAL("--jobs convergence run refused: "
-                                 << plan.reason);
-
-                workload::ConvergenceOptions copts;
-                copts.iterations = cluster_iters;
-                copts.replay = !no_replay;
-                copts.exactness_check = exactness;
-                copts.cycle_limit = cycle_limit;
-
-                sim::EventQueue queue;
-                cluster::Cluster cl(queue, topo, ccfg,
-                                    std::move(sched));
-                const auto t0 = std::chrono::steady_clock::now();
-                const auto r = cl.runConverged(copts, best_offsets);
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-
-                stats::ConvergenceRunRow crow;
-                crow.label = exactness
-                                 ? "exactness"
-                                 : (no_replay ? "full" : "replay");
-                crow.iterations = r.iterations;
-                crow.simulated = r.simulated_iterations;
-                crow.replayed = r.replayed_iterations;
-                crow.cycle_length = r.cycle_length;
-                crow.total_time = r.total.total;
-                crow.last_iteration = r.last.total;
-                crow.utilization = r.utilization;
-                crow.wall_ms = wall_ms;
-                std::printf(
-                    "%s",
-                    stats::renderConvergenceTable({crow}).c_str());
-
-                const auto jstats =
-                    cl.lockstepJobStats(r.iterations);
-                std::vector<stats::JobUsageRow> jrows;
-                for (std::size_t j = 0; j < jstats.size(); ++j) {
-                    const auto& js = jstats[j];
-                    stats::JobUsageRow row;
-                    row.name = js.name;
-                    row.kind = cluster::jobKindName(js.kind);
-                    row.arrival = js.arrival;
-                    row.jct = r.total.total;
-                    row.units =
-                        js.kind == cluster::JobKind::Training
-                            ? js.iterations
-                            : js.requests_completed;
-                    row.mean_unit =
-                        js.kind == cluster::JobKind::Training
-                            ? js.mean_iteration
-                            : js.mean_latency;
-                    row.exposed_share = js.exposed_share;
-                    row.deadline_hit_rate = js.deadline_hit_rate;
-                    row.unit_p99 = js.unit_p99;
-                    row.unit_max = js.unit_max;
-                    // No per-job wire totals across replayed rounds.
-                    row.progressed = -1.0;
-                    row.utilization = -1.0;
-                    row.cycle_units =
-                        r.cycle_length > 0
-                            ? r.cycle_length / plan.cadences[j]
-                            : -1;
-                    jrows.push_back(row);
-                }
-                std::printf("\n%s",
-                            stats::renderJobTable(jrows).c_str());
-
-                std::printf("\n  cycle replay  : hyper-period %d "
-                            "round(s), cycle %s, %d simulated + %d "
-                            "replayed of %d rounds\n",
-                            r.hyper_period,
-                            r.cycle_length > 0
-                                ? std::to_string(r.cycle_length)
-                                      .c_str()
-                                : "-",
-                            r.epochs_simulated, r.epochs_replayed,
-                            r.iterations);
-                if (r.steady_at >= 0) {
-                    std::printf(
-                        "  steady cycle at round %d (fingerprint "
-                        "%016llx)%s\n",
-                        r.steady_at,
-                        static_cast<unsigned long long>(
-                            r.steady_fingerprint),
-                        exactness ? ", replay prediction asserted "
-                                    "bit-identical"
-                                  : "");
-                } else if (exactness) {
-                    // A vacuous pass would defeat the proof mode: no
-                    // steady cycle means the exactness assertions
-                    // never executed.
-                    THEMIS_FATAL(
-                        "--exact: no steady cycle was confirmed, so "
-                        "nothing was asserted; raise --iterations "
-                        "(the mix needs ~2x its hyper-period of "
-                        "rounds) or --cycle-limit");
-                } else {
-                    std::printf("  steady cycle not confirmed; every "
-                                "round simulated\n");
-                }
-                if (!r.replay_refusal.empty())
-                    std::printf("  replay refused: %s\n",
-                                r.replay_refusal.c_str());
-                if (!faults_arg.empty())
-                    std::printf(
-                        "\nfault report, last simulated round "
-                        "(--faults \"%s\"):\n%s",
-                        faults_arg.c_str(),
-                        stats::renderFaultTable(
-                            faultRows(topo,
-                                      cl.runtime().utilization()))
-                            .c_str());
-                if (adapt)
-                    printAdaptationSummary(cl.runtime());
-                cl.runtime().publishTelemetry();
-                emitTrace(trace, trace_path);
-                if (!report_path.empty()) {
-                    stats::telemetry::RunReport report("jobs");
-                    report.setInfo("topology", topo.name());
-                    report.setInfo(
-                        "scheduler",
-                        schedulerKindName(ccfg.scheduler));
-                    report.setInfo("policy",
-                                   ccfg.priority.describe());
-                    report.setInfo("run", crow.label);
-                    if (!faults_arg.empty())
-                        report.setInfo("faults", faults_arg);
-                    report.setNumber("rounds", r.iterations);
-                    report.setNumber("simulated_rounds",
-                                     r.simulated_iterations);
-                    report.setNumber("replayed_rounds",
-                                     r.replayed_iterations);
-                    report.setNumber("cycle_length", r.cycle_length);
-                    report.setNumber("hyper_period", r.hyper_period);
-                    report.setNumber("total_ns", r.total.total);
-                    report.setNumber("utilization", r.utilization);
-                    report.setNumber("wall_ms", wall_ms);
-                    if (adapt)
-                        reportAdaptation(report, cl.runtime());
-                    report.addSection("jobs", jobsJson(jstats));
-                    if (!faults_arg.empty())
-                        report.addSection(
-                            "fault",
-                            faultJson(faultRows(
-                                topo, cl.runtime().utilization())));
-                    emitReport(report, report_path, &telem);
-                }
-                return 0;
-            }
-
-            sim::EventQueue queue;
-            cluster::Cluster cl(queue, topo, ccfg, std::move(sched));
-            const auto elig = cl.replayEligibility();
-            const auto rep = cl.run();
-
-            std::vector<stats::JobUsageRow> rows;
-            for (const auto& j : rep.jobs) {
-                stats::JobUsageRow row;
-                row.name = j.name;
-                row.kind = cluster::jobKindName(j.kind);
-                row.arrival = j.arrival;
-                row.jct = j.jct();
-                row.units = j.kind == cluster::JobKind::Training
-                                ? j.iterations
-                                : j.requests_completed;
-                row.mean_unit =
-                    j.kind == cluster::JobKind::Training
-                        ? j.mean_iteration
-                        : j.mean_latency;
-                row.exposed_share = j.exposed_share;
-                row.deadline_hit_rate = j.deadline_hit_rate;
-                row.unit_p99 = j.unit_p99;
-                row.unit_max = j.unit_max;
-                row.progressed = j.progressed;
-                row.utilization = j.utilization;
-                rows.push_back(row);
-            }
-            std::printf("%s", stats::renderJobTable(rows).c_str());
-            std::vector<stats::ClassUsageRow> crows;
-            for (const auto& c : rep.classes) {
-                if (c.issued == 0 && c.progressed <= 0.0)
-                    continue;
-                stats::ClassUsageRow row;
-                row.name = priorityTierName(c.tier);
-                row.weight = c.weight;
-                row.collectives = c.completed;
-                row.mean_duration = c.mean_duration;
-                row.progressed = c.progressed;
-                row.utilization = c.utilization;
-                crows.push_back(row);
-            }
-            std::printf("\n%s", stats::renderClassTable(crows).c_str());
-            std::printf("\n  makespan      : %s\n",
-                        fmtTime(rep.makespan).c_str());
-            std::printf("  fabric util   : %s\n",
-                        fmtPercent(rep.fabric_utilization).c_str());
-            std::printf("  bytes moved   : %s\n",
-                        fmtBytes(rep.total_bytes).c_str());
-            std::printf("  replay        : %s\n",
-                        elig.eligible
-                            ? "eligible (lockstep training mix)"
-                            : elig.reason.c_str());
-            if (!faults_arg.empty())
-                std::printf("\nfault report (--faults \"%s\"):\n%s",
-                            faults_arg.c_str(),
-                            stats::renderFaultTable(
-                                faultRows(topo,
-                                          cl.runtime().utilization()))
-                                .c_str());
-            if (adapt)
-                printAdaptationSummary(cl.runtime());
-            emitTrace(trace, trace_path);
-            if (!report_path.empty()) {
-                stats::telemetry::RunReport report("jobs");
-                report.setInfo("topology", topo.name());
-                report.setInfo("scheduler",
-                               schedulerKindName(ccfg.scheduler));
-                report.setInfo("policy", ccfg.priority.describe());
-                report.setInfo("run", "free-running");
-                if (!faults_arg.empty())
-                    report.setInfo("faults", faults_arg);
-                report.setNumber("makespan_ns", rep.makespan);
-                report.setNumber("fabric_utilization",
-                                 rep.fabric_utilization);
-                report.setNumber("total_bytes", rep.total_bytes);
-                if (adapt)
-                    reportAdaptation(report, cl.runtime());
-                report.addSection("jobs", jobsJson(rep.jobs));
-                report.addSection("classes",
-                                  classesJson(rep.classes));
-                if (!faults_arg.empty())
-                    report.addSection(
-                        "fault",
-                        faultJson(faultRows(
-                            topo, cl.runtime().utilization())));
-                emitReport(report, report_path, &telem);
-            }
-            return 0;
-        }
-
-        if (iterations >= 1) {
-            // Multi-iteration convergence run: train --model on
-            // --topo under --sched for N iterations through the
-            // steady-state replay engine.
-            PlanCache cache;
-            cfg.plan_cache = &cache;
-            sim::EventQueue queue;
-            runtime::CommRuntime comm(queue, topo, cfg);
-            workload::TrainingLoop loop(comm,
-                                        models::byName(model_arg));
-            workload::ConvergenceOptions opts;
-            opts.iterations = iterations;
-            opts.replay = !no_replay;
-            opts.exactness_check = exactness;
-            opts.cycle_limit = cycle_limit;
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto r = workload::runConverged(comm, loop, opts);
-            const double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            std::printf("%s", topo.describe().c_str());
-            std::printf("\n%s x %d training iterations under %s%s:\n\n",
-                        model_arg.c_str(), iterations,
-                        schedulerKindName(cfg.scheduler).c_str(),
-                        exactness ? " (exactness-check mode)" : "");
-            stats::ConvergenceRunRow row;
-            row.label = exactness ? "exactness"
-                                  : (no_replay ? "full" : "replay");
-            row.iterations = r.iterations;
-            row.simulated = r.simulated_iterations;
-            row.replayed = r.replayed_iterations;
-            row.cycle_length = r.cycle_length;
-            row.total_time = r.total.total;
-            row.last_iteration = r.last.total;
-            row.utilization = r.utilization;
-            row.wall_ms = wall_ms;
-            std::printf("%s",
-                        stats::renderConvergenceTable({row}).c_str());
-
-            std::printf("\n  per-iteration decomposition (steady): "
-                        "fwd %s, bwd %s, exposed MP %s, exposed DP "
-                        "%s\n",
-                        fmtTime(r.last.fwd_compute).c_str(),
-                        fmtTime(r.last.bwd_compute).c_str(),
-                        fmtTime(r.last.exposed_mp).c_str(),
-                        fmtTime(r.last.exposed_dp).c_str());
-            if (r.steady_at >= 0) {
-                std::printf("  steady state at iteration %d "
-                            "(fingerprint %016llx)%s\n",
-                            r.steady_at,
-                            static_cast<unsigned long long>(
-                                r.steady_fingerprint),
-                            exactness ? ", replay prediction asserted "
-                                        "bit-identical"
-                                      : "");
-            } else if (exactness) {
-                // A vacuous pass would defeat the proof mode (and the
-                // CI smoke built on it): no steady state means the
-                // exactness assertions never executed.
-                THEMIS_FATAL(
-                    "--exact: steady state was never reached, so "
-                    "nothing was asserted; raise --iterations or "
-                    "check why iterations stopped repeating");
-            } else {
-                std::printf("  steady state not reached; every "
-                            "iteration simulated\n");
-            }
-            std::printf("  %ld collectives, %llu chunk ops, plan "
-                        "cache %zu plans\n",
-                        r.collectives,
-                        static_cast<unsigned long long>(r.ops),
-                        cache.planCount());
-            // Fault counters are per-iteration-epoch state (they are
-            // mixed into the epoch fingerprint, so steady-state
-            // detection sees fault activity); the report therefore
-            // covers the last simulated iteration, not the whole run.
-            if (!faults_arg.empty())
-                std::printf("\nfault report, last simulated iteration "
-                            "(--faults \"%s\"):\n%s",
-                            faults_arg.c_str(),
-                            stats::renderFaultTable(
-                                faultRows(topo, comm.utilization()))
-                                .c_str());
-            if (adapt)
-                printAdaptationSummary(comm);
-            comm.publishTelemetry();
-            emitTrace(trace, trace_path);
-            if (!report_path.empty()) {
-                stats::telemetry::RunReport report("iterations");
-                report.setInfo("topology", topo.name());
-                report.setInfo("model", model_arg);
-                report.setInfo("scheduler",
-                               schedulerKindName(cfg.scheduler));
-                report.setInfo("run",
-                               exactness
-                                   ? "exactness"
-                                   : (no_replay ? "full" : "replay"));
-                if (!faults_arg.empty())
-                    report.setInfo("faults", faults_arg);
-                report.setNumber("iterations", r.iterations);
-                report.setNumber("simulated_iterations",
-                                 r.simulated_iterations);
-                report.setNumber("replayed_iterations",
-                                 r.replayed_iterations);
-                report.setNumber("cycle_length", r.cycle_length);
-                report.setNumber("steady_at", r.steady_at);
-                report.setNumber("total_ns", r.total.total);
-                report.setNumber("iteration_ns", r.last.total);
-                report.setNumber("utilization", r.utilization);
-                report.setNumber("collectives",
-                                 static_cast<double>(r.collectives));
-                report.setNumber("chunk_ops",
-                                 static_cast<double>(r.ops));
-                report.setNumber("wall_ms", wall_ms);
-                report.setNumber("plan_cache_plans",
-                                 static_cast<double>(
-                                     cache.planCount()));
-                if (adapt)
-                    reportAdaptation(report, comm);
-                if (!faults_arg.empty())
-                    report.addSection(
-                        "fault", faultJson(faultRows(
-                                     topo, comm.utilization())));
-                emitReport(report, report_path, &telem);
-            }
-            return 0;
-        }
-
-        if (priority_ratio >= 1.0) {
-            // Two-tenant priority demo: an urgent All-Reduce chain
-            // (--size / 32 per collective) contends with bulk
-            // All-Reduces of --size under the priority-aware Themis
-            // scheduler. Solo runs of each tenant provide the
-            // slowdown baselines.
-            runtime::RuntimeConfig pcfg = runtime::themisScfConfig();
-            pcfg.scheduler = SchedulerKind::ThemisPriority;
-            pcfg.enforce_consistent_order = enforce;
-            if (priority_ratio > 1.0)
-                pcfg.priority = PriorityPolicy::tiered(priority_ratio);
-            const int chain = 8, bulk_count = 2;
-            const Bytes hi_size = size / 32.0;
-
-            struct TenantRun
-            {
-                TimeNs hi_mean = 0.0, lo_mean = 0.0, makespan = 0.0;
-            };
-            auto run_tenants = [&](bool run_hi, bool run_lo,
-                                   sim::EventQueue& queue,
-                                   runtime::CommRuntime& comm) {
-                int hi_remaining = run_hi ? chain : 0;
-                std::vector<int> hi_ids, lo_ids;
-                std::function<void()> issue_hi = [&] {
-                    if (hi_remaining == 0)
-                        return;
-                    --hi_remaining;
-                    CollectiveRequest r;
-                    r.type = CollectiveType::AllReduce;
-                    r.size = hi_size;
-                    r.priority_tier =
-                        static_cast<int>(PriorityTier::Urgent);
-                    hi_ids.push_back(comm.issue(r, [&] { issue_hi(); }));
-                };
-                if (run_hi)
-                    issue_hi();
-                for (int i = 0; run_lo && i < bulk_count; ++i) {
-                    CollectiveRequest r;
-                    r.type = CollectiveType::AllReduce;
-                    r.size = size;
-                    r.priority_tier =
-                        static_cast<int>(PriorityTier::Bulk);
-                    lo_ids.push_back(comm.issue(r));
-                }
-                queue.run();
-                comm.finalizeStats();
-                TenantRun out;
-                out.makespan = queue.now();
-                for (int cid : hi_ids)
-                    out.hi_mean += comm.record(cid).duration();
-                if (!hi_ids.empty())
-                    out.hi_mean /= static_cast<double>(hi_ids.size());
-                for (int cid : lo_ids)
-                    out.lo_mean += comm.record(cid).duration();
-                if (!lo_ids.empty())
-                    out.lo_mean /= static_cast<double>(lo_ids.size());
-                return out;
-            };
-
-            sim::EventQueue q_hi, q_lo, q_both;
-            runtime::CommRuntime solo_hi_comm(q_hi, topo, pcfg);
-            const TenantRun solo_hi =
-                run_tenants(true, false, q_hi, solo_hi_comm);
-            runtime::CommRuntime solo_lo_comm(q_lo, topo, pcfg);
-            const TenantRun solo_lo =
-                run_tenants(false, true, q_lo, solo_lo_comm);
-            runtime::CommRuntime both_comm(q_both, topo, pcfg);
-            const TenantRun both =
-                run_tenants(true, true, q_both, both_comm);
-
-            std::printf("%s", topo.describe().c_str());
-            std::printf("\npriority contention demo (%s, policy %s):\n"
-                        "  urgent tenant: %d x %s AR chain; bulk "
-                        "tenant: %d x %s AR\n\n",
-                        schedulerKindName(pcfg.scheduler).c_str(),
-                        pcfg.priority.describe().c_str(), chain,
-                        fmtBytes(hi_size).c_str(), bulk_count,
-                        fmtBytes(size).c_str());
-            std::vector<stats::ClassUsageRow> rows;
-            for (const auto& c : both_comm.classReports()) {
-                stats::ClassUsageRow row;
-                row.name = pcfg.priority.isUniform()
-                               ? "all (uniform)"
-                               : priorityTierName(c.tier);
-                row.weight = c.weight;
-                row.collectives = c.completed;
-                row.mean_duration = c.mean_duration;
-                row.progressed = c.progressed;
-                row.utilization = c.utilization;
-                // Per-class slowdowns only make sense when classes
-                // are separated: under the uniform policy (W = 1)
-                // class 0 mixes both tenants, and dividing its mean
-                // by a single tenant's solo baseline would be
-                // meaningless (the per-tenant means print below).
-                if (!pcfg.priority.isUniform()) {
-                    if (c.tier ==
-                            static_cast<int>(PriorityTier::Urgent) &&
-                        solo_hi.hi_mean > 0.0)
-                        row.slowdown =
-                            c.mean_duration / solo_hi.hi_mean;
-                    if (c.tier ==
-                            static_cast<int>(PriorityTier::Bulk) &&
-                        solo_lo.lo_mean > 0.0)
-                        row.slowdown =
-                            c.mean_duration / solo_lo.lo_mean;
-                }
-                rows.push_back(row);
-            }
-            std::printf("%s", stats::renderClassTable(rows).c_str());
-            std::printf("\n  contended makespan : %s\n",
-                        fmtTime(both.makespan).c_str());
-            std::printf("  urgent mean  %s (solo %s)\n",
-                        fmtTime(both.hi_mean).c_str(),
-                        fmtTime(solo_hi.hi_mean).c_str());
-            std::printf("  bulk mean    %s (solo %s)\n",
-                        fmtTime(both.lo_mean).c_str(),
-                        fmtTime(solo_lo.lo_mean).c_str());
-            if (!report_path.empty()) {
-                stats::telemetry::RunReport report("priority");
-                report.setInfo("topology", topo.name());
-                report.setInfo("policy", pcfg.priority.describe());
-                report.setNumber("contended_makespan_ns",
-                                 both.makespan);
-                report.setNumber("urgent_mean_ns", both.hi_mean);
-                report.setNumber("urgent_solo_ns", solo_hi.hi_mean);
-                report.setNumber("bulk_mean_ns", both.lo_mean);
-                report.setNumber("bulk_solo_ns", solo_lo.lo_mean);
-                report.addSection(
-                    "classes",
-                    classesJson(both_comm.classReports()));
-                emitReport(report, report_path, &telem);
-            }
-            return 0;
-        }
-
-        if (!grid_arg.empty() || !sweep_arg.empty()) {
-            // Topology-list grid: every listed platform x all three
-            // schedulers (x the --sweep chunk counts when given, x
-            // the --jobs cluster mixes when given), one independent
-            // simulation per cell, one plan cache shared read-mostly
-            // across the grid's workers. A bare --sweep is the
-            // one-topology grid over --topo.
-            //
-            // Cells are enumerated into a canonical ordered list by
-            // pure index arithmetic, so every process — whatever its
-            // --shard — agrees on cell order and keys; --shard i/N
-            // owns the strided subset, --results streams completed
-            // cells to a crash-safe journal whose recorded cells are
-            // skipped on restart, and --max-cells caps fresh work to
-            // interrupt a run deterministically (resume testing).
-            std::vector<GridTopo> grid_topos;
-            if (!grid_arg.empty())
-                grid_topos = parseGridList(grid_arg);
-            else
-                grid_topos.push_back({topo_arg, topo});
-            std::vector<int> chunk_list;
-            if (!sweep_arg.empty()) {
-                for (const auto& tok : split(sweep_arg, ','))
-                    chunk_list.push_back(std::atoi(tok.c_str()));
-                for (int c : chunk_list)
-                    if (c < 1)
-                        THEMIS_FATAL("bad --sweep chunk count list '"
-                                     << sweep_arg << "'");
-            } else {
-                chunk_list.push_back(chunks);
-            }
-            const int cluster_iters = iterations >= 1 ? iterations : 3;
-            std::vector<JobsMix> mixes;
-            if (!jobs_arg.empty())
-                mixes = parseJobsMixes(jobs_arg, cluster_iters);
-            const std::vector<SchedulerSetup> setups =
-                schedulerSetups();
-            const std::size_t n_mix =
-                mixes.empty() ? 1 : mixes.size();
-            const std::size_t per_mix =
-                chunk_list.size() * setups.size();
-            const std::size_t per_topo = n_mix * per_mix;
-            const std::size_t cells = grid_topos.size() * per_topo;
-
-            // Canonical cell decomposition, topology-major:
-            // (topo, mix, chunks, scheduler).
-            const auto cellTopo = [&](std::size_t i) {
-                return i / per_topo;
-            };
-            const auto cellMix = [&](std::size_t i) {
-                return i % per_topo / per_mix;
-            };
-            const auto cellChunks = [&](std::size_t i) {
-                return chunk_list[i % per_mix / setups.size()];
-            };
-            const auto cellSched = [&](std::size_t i) {
-                return i % setups.size();
-            };
-            const auto cellKey = [&](std::size_t i) {
-                std::vector<std::pair<std::string, std::string>> kv = {
-                    {"topo", grid_topos[cellTopo(i)].token},
-                    {"sched", setups[cellSched(i)].name},
-                    {"chunks", std::to_string(cellChunks(i))},
-                    {"enforce", enforce ? "1" : "0"}};
-                if (mixes.empty()) {
-                    kv.push_back({"type", type_arg});
-                    kv.push_back({"size", keyDouble(req.size)});
-                } else {
-                    // Mix specs contain '=' (reserved in keys), so
-                    // the jobs field is a content hash of the mix.
-                    kv.push_back(
-                        {"jobs",
-                         hex16(fnv1a(mixes[cellMix(i)].token.data(),
-                                     mixes[cellMix(i)].token.size()))});
-                    kv.push_back({"tiers", keyDouble(tier_ratio)});
-                }
-                return sim::makeResultKey(std::move(kv));
-            };
-
-            sim::ShardSpec shard;
-            if (!shard_arg.empty())
-                shard = sim::parseShardSpec(shard_arg);
-            const std::vector<std::size_t> owned =
-                sim::shardCells(cells, shard);
-            std::unique_ptr<sim::ResultStore> store;
-            if (!results_path.empty())
-                store =
-                    std::make_unique<sim::ResultStore>(results_path);
-
-            std::vector<std::size_t> pending;
-            for (std::size_t cell : owned)
-                if (store == nullptr || !store->has(cellKey(cell)))
-                    pending.push_back(cell);
-            const std::size_t resumed = owned.size() - pending.size();
-            bool interrupted = false;
-            if (max_cells > 0 &&
-                pending.size() >
-                    static_cast<std::size_t>(max_cells)) {
-                pending.resize(static_cast<std::size_t>(max_cells));
-                interrupted = true;
-            }
-
-            PlanCache cache;
-            const double t0 = nowMs();
-            const auto fresh = sim::sweepIndexed(
-                pending.size(),
-                [&](std::size_t j, sim::EventQueue& queue) {
-                    const std::size_t i = pending[j];
-                    const double c0 = nowMs();
-                    CellOutcome out;
-                    runtime::RuntimeConfig run_cfg =
-                        setups[cellSched(i)].cfg;
-                    run_cfg.enforce_consistent_order = enforce;
-                    run_cfg.plan_cache = &cache;
-                    const Topology& cell_topo =
-                        grid_topos[cellTopo(i)].topo;
-                    if (mixes.empty()) {
-                        CollectiveRequest r = req;
-                        r.chunks = cellChunks(i);
-                        runtime::CommRuntime comm(queue, cell_topo,
-                                                  run_cfg);
-                        const int cid = comm.issue(r);
-                        queue.run();
-                        comm.finalizeStats();
-                        out.values = {
-                            {"time_ns", comm.record(cid).duration()},
-                            {"util", comm.utilization()
-                                         .weightedUtilization()}};
-                    } else {
-                        // One cluster co-simulation per cell, under
-                        // the same tiered policy the standalone
-                        // cluster mode uses.
-                        runtime::RuntimeConfig ccfg = run_cfg;
-                        if (ccfg.scheduler == SchedulerKind::Themis &&
-                            tier_ratio > 1.0)
-                            ccfg.scheduler =
-                                SchedulerKind::ThemisPriority;
-                        ccfg.priority =
-                            PriorityPolicy::tiered(tier_ratio);
-                        ccfg.default_chunks = cellChunks(i);
-                        cluster::Cluster cl(queue, cell_topo, ccfg,
-                                            mixes[cellMix(i)].specs);
-                        const auto rep = cl.run();
-                        out.values = {
-                            {"makespan_ns", rep.makespan},
-                            {"fabric_util", rep.fabric_utilization},
-                            {"total_bytes", rep.total_bytes}};
-                    }
-                    out.wall_ms = nowMs() - c0;
-                    return out;
-                },
-                sim::SweepOptions{jobs});
-            const double wall_ms = nowMs() - t0;
-
-            // Stream the fresh cells to the journal in canonical cell
-            // order (pending is ascending), so independently produced
-            // shard journals merge deterministically.
-            if (store != nullptr) {
-                for (std::size_t j = 0; j < pending.size(); ++j) {
-                    sim::ResultRecord rec;
-                    rec.key = cellKey(pending[j]);
-                    rec.values = fresh[j].values;
-                    rec.fingerprint =
-                        valuesFingerprint(fresh[j].values);
-                    rec.wall_ms = fresh[j].wall_ms;
-                    store->append(std::move(rec));
-                }
-            }
-
-            if (mixes.empty())
-                std::printf("%s of %s, %zu-cell grid over %zu "
-                            "topologies:\n\n",
-                            collectiveTypeName(req.type).c_str(),
-                            fmtBytes(req.size).c_str(), cells,
-                            grid_topos.size());
-            else
-                std::printf("%zu-mix cluster grid, %zu cells over "
-                            "%zu topologies (policy tiered(%g)):\n\n",
-                            mixes.size(), cells, grid_topos.size(),
-                            tier_ratio);
-            stats::TextTable t(
-                mixes.empty()
-                    ? std::vector<std::string>{"Topology", "Chunks",
-                                               "Scheduler", "Time",
-                                               "Avg BW util"}
-                    : std::vector<std::string>{"Topology", "Jobs",
-                                               "Chunks", "Scheduler",
-                                               "Makespan",
-                                               "Fabric util"});
-            const auto valueOf =
-                [](const std::vector<std::pair<std::string, double>>&
-                       vals,
-                   const char* name) {
-                    for (const auto& [n, v] : vals)
-                        if (n == name)
-                            return v;
-                    return 0.0;
-                };
-            // Cells section for --report: one object per evaluated
-            // cell (key + values), built alongside the table.
-            stats::telemetry::JsonWriter cellw;
-            cellw.beginArray();
-            std::size_t jp = 0;
-            for (std::size_t cell : owned) {
-                const std::vector<std::pair<std::string, double>>*
-                    vals = nullptr;
-                if (jp < pending.size() && pending[jp] == cell) {
-                    vals = &fresh[jp].values;
-                    ++jp;
-                } else if (store != nullptr) {
-                    const auto* rec = store->find(cellKey(cell));
-                    if (rec != nullptr)
-                        vals = &rec->values;
-                }
-                if (vals == nullptr)
-                    continue; // beyond the --max-cells cap
-                if (!report_path.empty()) {
-                    cellw.beginObject();
-                    cellw.key("key").value(cellKey(cell));
-                    cellw.key("values").beginObject();
-                    for (const auto& [n, v] : *vals)
-                        cellw.key(n).value(v);
-                    cellw.endObject();
-                    cellw.endObject();
-                }
-                const std::string topo_name =
-                    grid_topos[cellTopo(cell)].topo.name();
-                if (mixes.empty()) {
-                    t.addRow({topo_name,
-                              std::to_string(cellChunks(cell)),
-                              setups[cellSched(cell)].name,
-                              fmtTime(valueOf(*vals, "time_ns")),
-                              fmtPercent(valueOf(*vals, "util"))});
-                } else {
-                    t.addRow(
-                        {topo_name, mixes[cellMix(cell)].token,
-                         std::to_string(cellChunks(cell)),
-                         setups[cellSched(cell)].name,
-                         fmtTime(valueOf(*vals, "makespan_ns")),
-                         fmtPercent(valueOf(*vals, "fabric_util"))});
-                }
-            }
-            std::printf("%s", t.render().c_str());
-            if (!shard.whole() || store != nullptr) {
-                std::printf("\nshard %d/%d: %zu of %zu cells owned, "
-                            "%zu resumed from store, %zu simulated%s",
-                            shard.index, shard.count, owned.size(),
-                            cells, resumed, pending.size(),
-                            interrupted
-                                ? " (interrupted by --max-cells)"
-                                : "");
-                if (store != nullptr) {
-                    std::printf("; store %s (%zu records%s)",
-                                store->path().c_str(), store->size(),
-                                store->recoveredTruncatedTail()
-                                    ? ", truncated tail recovered"
-                                    : "");
-                }
-                std::printf("\n");
-            }
-            const auto cache_stats = cache.stats();
-            std::printf("\n%.1f ms wall (%.1f cells/sec over %zu "
-                        "simulated cells); plan cache %zu plans, "
-                        "%llu hits / %llu misses\n",
-                        wall_ms,
-                        static_cast<double>(pending.size()) /
-                            (wall_ms * 1e-3),
-                        pending.size(), cache.planCount(),
-                        static_cast<unsigned long long>(
-                            cache_stats.plan_hits),
-                        static_cast<unsigned long long>(
-                            cache_stats.plan_misses));
-            if (!report_path.empty()) {
-                cellw.endArray();
-                stats::telemetry::RunReport report("grid");
-                if (!grid_arg.empty())
-                    report.setInfo("grid", grid_arg);
-                else
-                    report.setInfo("topology", topo_arg);
-                if (!sweep_arg.empty())
-                    report.setInfo("sweep", sweep_arg);
-                if (!jobs_arg.empty())
-                    report.setInfo("jobs", jobs_arg);
-                if (!shard_arg.empty())
-                    report.setInfo("shard", shard_arg);
-                telem.metrics.gauge("grid.cells.total")
-                    .set(static_cast<double>(cells));
-                telem.metrics.gauge("grid.cells.owned")
-                    .set(static_cast<double>(owned.size()));
-                telem.metrics.gauge("grid.cells.resumed")
-                    .set(static_cast<double>(resumed));
-                telem.metrics.gauge("grid.cells.simulated")
-                    .set(static_cast<double>(pending.size()));
-                report.setNumber("cells",
-                                 static_cast<double>(cells));
-                report.setNumber("owned",
-                                 static_cast<double>(owned.size()));
-                report.setNumber("resumed",
-                                 static_cast<double>(resumed));
-                report.setNumber("simulated", static_cast<double>(
-                                                  pending.size()));
-                report.setNumber("wall_ms", wall_ms);
-                report.setNumber("plan_cache_plans",
-                                 static_cast<double>(
-                                     cache.planCount()));
-                report.setNumber("plan_cache_hits",
-                                 static_cast<double>(
-                                     cache_stats.plan_hits));
-                report.setNumber("plan_cache_misses",
-                                 static_cast<double>(
-                                     cache_stats.plan_misses));
-                report.addSection("cells", cellw.str());
-                emitReport(report, report_path, &telem);
-            }
-            return 0;
-        }
-
-        std::printf("%s", topo.describe().c_str());
-        for (const auto& pair : classifyAllPairs(topo)) {
-            std::printf("  dim%d vs dim%d: %s (ratio %.2f)\n",
-                        pair.dim_k + 1, pair.dim_l + 1,
-                        provisionScenarioName(pair.scenario).c_str(),
-                        pair.ratio);
-        }
-
-        sim::EventQueue queue;
-        // The runtime attaches telem.trace itself when the config
-        // carries the telemetry sink (set above for this mode).
-        runtime::CommRuntime comm(queue, topo, cfg);
-        const int id = comm.issue(req);
-        queue.run();
-        comm.finalizeStats();
-        emitTrace(trace, trace_path);
-
-        const auto& rec = comm.record(id);
-        std::printf("\n%s of %s in %d chunks under %s%s:\n",
-                    collectiveTypeName(req.type).c_str(),
-                    fmtBytes(req.size).c_str(), chunks,
-                    sched_arg == "base" ? "Baseline"
-                                        : ("Themis+" + sched_arg).c_str(),
-                    enforce ? " (enforced order)" : "");
-        std::printf("  time        : %s\n",
-                    fmtTime(rec.duration()).c_str());
-        std::printf("  avg BW util : %s\n",
-                    fmtPercent(comm.utilization().weightedUtilization())
-                        .c_str());
-        const auto per_dim = comm.utilization().perDimUtilization();
-        for (std::size_t d = 0; d < per_dim.size(); ++d)
-            std::printf("  dim%zu util  : %s\n", d + 1,
-                        fmtPercent(per_dim[d]).c_str());
-        const auto model = LatencyModel::fromTopology(topo);
-        std::printf("  ideal       : %s (size / total BW)\n",
-                    fmtTime(idealCollectiveTime(req.type, req.size,
-                                                model))
-                        .c_str());
-        if (!faults_arg.empty())
-            std::printf("\nfault report (--faults \"%s\"):\n%s",
-                        faults_arg.c_str(),
-                        stats::renderFaultTable(
-                            faultRows(topo, comm.utilization()))
-                            .c_str());
-        if (adapt)
-            printAdaptationSummary(comm);
-
-        if (validate) {
-            // Re-simulate with every NPU modelled individually; on a
-            // symmetric platform the two backends must agree.
-            auto sched = makeScheduler(cfg.scheduler, model,
-                                       cfg.themis);
-            const auto schedules = sched->scheduleCollective(
-                req.type,
-                schedulableSize(req.type, req.size, model.dimSizes()),
-                req.chunks);
-            npu::NpuSimConfig npu_cfg;
-            npu_cfg.policy = cfg.intra_policy;
-            npu_cfg.admission = cfg.admission;
-            const auto per_npu = npu::simulatePerNpu(
-                topo, req.type, schedules, npu_cfg);
-            std::printf("  per-NPU     : %s on %ld NPUs (%s; error "
-                        "%.4f%%)\n",
-                        fmtTime(per_npu.makespan).c_str(),
-                        topo.totalNpus(),
-                        per_npu.completed ? "completed" : "DEADLOCK",
-                        100.0 *
-                            std::abs(per_npu.makespan -
-                                     rec.duration()) /
-                            rec.duration());
-        }
-        if (!report_path.empty()) {
-            stats::telemetry::RunReport report("single");
-            report.setInfo("topology", topo.name());
-            report.setInfo("collective",
-                           collectiveTypeName(req.type));
-            report.setInfo("scheduler",
-                           schedulerKindName(cfg.scheduler));
-            if (!faults_arg.empty())
-                report.setInfo("faults", faults_arg);
-            report.setNumber("size_bytes", req.size);
-            report.setNumber("chunks", chunks);
-            report.setNumber("time_ns", rec.duration());
-            report.setNumber(
-                "utilization",
-                comm.utilization().weightedUtilization());
-            report.setNumber("ideal_ns",
-                             idealCollectiveTime(req.type, req.size,
-                                                 model));
-            if (adapt)
-                reportAdaptation(report, comm);
-            if (!faults_arg.empty())
-                report.addSection("fault",
-                                  faultJson(faultRows(
-                                      topo, comm.utilization())));
-            emitReport(report, report_path, &telem);
+        switch (o.mode) {
+          case kMerge: return runMerge(o);
+          case kServe: return runServe(o, telem);
+          case kCluster: return runCluster(o, telem);
+          case kIterations: return runIterations(o, telem);
+          case kPriority: return runPriority(o, telem);
+          case kGrid: return runGrid(o, telem);
+          case kSingle: return runSingle(o, telem);
         }
         return 0;
     } catch (const runtime::RetryExhaustedError& e) {
-        // A transfer ran out of retry budget: surface the structured
-        // report as a readable diagnostic and exit distinctly so
-        // scripts can tell "fabric gave up" from a config mistake.
-        const auto& r = e.report();
-        std::fprintf(stderr,
-                     "fatal: retry budget exhausted on dim%d "
-                     "(collective %d chunk %d stage %d, %d attempts, "
-                     "%s re-sent); raise retry max attempts or "
-                     "shorten the fault windows\n",
-                     r.dim + 1, r.op.collective_id, r.op.chunk_id,
-                     r.op.stage_index, r.attempts,
-                     fmtBytes(r.lost_bytes).c_str());
-        // With telemetry armed, replay the flight-recorder tail —
-        // the last events leading into the exhaustion — and persist
-        // the partial artifacts for post-mortem.
-        const auto events = telem.recorder.events();
-        if (!events.empty()) {
-            const std::size_t tail =
-                std::min<std::size_t>(events.size(), 16);
-            std::fprintf(
-                stderr,
-                "flight recorder (last %zu of %llu event(s)):\n",
-                tail,
-                static_cast<unsigned long long>(
-                    telem.recorder.totalRecorded()));
-            for (std::size_t i = events.size() - tail;
-                 i < events.size(); ++i)
-                std::fprintf(stderr, "  %s\n",
-                             stats::telemetry::describeFlightEvent(
-                                 events[i])
-                                 .c_str());
-        }
-        if (!trace_path.empty()) {
-            trace.writeFile(trace_path);
-            std::fprintf(stderr, "trace (partial): %s\n",
-                         trace_path.c_str());
-        }
-        if (!report_path.empty()) {
-            stats::telemetry::RunReport report("fatal");
-            report.setInfo("error", "retry budget exhausted");
-            report.setNumber("dim", r.dim);
-            report.setNumber("attempts", r.attempts);
-            report.setNumber("lost_bytes", r.lost_bytes);
-            report.setNumber("collective", r.op.collective_id);
-            report.setNumber("chunk", r.op.chunk_id);
-            report.setNumber("stage", r.op.stage_index);
-            report.attachMetrics(&telem.metrics);
-            report.attachRecorder(&telem.recorder);
-            report.writeFile(report_path);
-            std::fprintf(stderr, "report (mode fatal): %s\n",
-                         report_path.c_str());
-        }
-        return 2;
+        return retryExhausted(e, o, telem);
     } catch (const ConfigError& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -9,10 +9,15 @@
 #ifndef THEMIS_COMMON_HASH_HPP
 #define THEMIS_COMMON_HASH_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
 namespace themis {
+
+/** The 64-bit FNV prime and standard offset basis. */
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 
 /** Incremental FNV-1a accumulator; see file comment. */
 class Fnv1a
@@ -22,7 +27,7 @@ class Fnv1a
     mix(std::uint64_t v)
     {
         hash_ ^= v;
-        hash_ *= 1099511628211ull;
+        hash_ *= kFnvPrime;
     }
 
     void
@@ -39,6 +44,22 @@ class Fnv1a
   private:
     std::uint64_t hash_ = 1469598103934665603ull;
 };
+
+/**
+ * Byte-wise FNV-1a over @p n bytes, continuing @p h (default: the
+ * standard offset basis). Result-record fingerprints and --jobs mix
+ * keys live in on-disk journals, so they keep this form; Fnv1a keeps
+ * its own basis, which golden pins depend on.
+ */
+inline std::uint64_t
+fnv1aBytes(const void* data, std::size_t n,
+           std::uint64_t h = kFnvOffsetBasis)
+{
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * kFnvPrime;
+    return h;
+}
 
 /**
  * Bit-pattern equality for doubles used in hash keys: keys that

@@ -1,8 +1,13 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+
+#include "common/error.hpp"
 
 namespace themis {
 
@@ -119,6 +124,39 @@ jsonEscape(const std::string& s)
         }
     }
     return out;
+}
+
+double
+parseNumber(const std::string& text, const std::string& what)
+{
+    try {
+        std::size_t used = 0;
+        const double v = std::stod(text, &used);
+        if (used != text.size())
+            THEMIS_FATAL("trailing characters in " << what << " '"
+                                                   << text << "'");
+        // std::stod happily accepts "nan" and "inf", and NaN then
+        // slips past every '<= 0' validation downstream.
+        if (!std::isfinite(v))
+            THEMIS_FATAL(what << " '" << text << "' must be finite");
+        return v;
+    } catch (const std::invalid_argument&) {
+        THEMIS_FATAL("cannot parse " << what << " '" << text << "'");
+    } catch (const std::out_of_range&) {
+        THEMIS_FATAL(what << " '" << text << "' out of range");
+    }
+}
+
+int
+parseInt(const std::string& text, const std::string& what)
+{
+    const double v = parseNumber(text, what);
+    if (std::abs(v) > std::numeric_limits<int>::max())
+        THEMIS_FATAL(what << " '" << text << "' out of range");
+    const int i = static_cast<int>(v);
+    if (static_cast<double>(i) != v)
+        THEMIS_FATAL(what << " '" << text << "' must be an integer");
+    return i;
 }
 
 std::string

@@ -35,6 +35,16 @@ std::string fmtGbps(Bandwidth bw);
 /** Percentage with one decimal, e.g. "95.1%". */
 std::string fmtPercent(double fraction);
 
+/**
+ * Strict decimal number: all of @p text must parse and the value must
+ * be finite; otherwise a ConfigError naming @p what ("trailing
+ * characters in size '1e8x'").
+ */
+double parseNumber(const std::string& text, const std::string& what);
+
+/** parseNumber() restricted to values that are exactly an int. */
+int parseInt(const std::string& text, const std::string& what);
+
 /** Lower-case copy (ASCII). */
 std::string toLower(std::string s);
 

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace themis::sim {
 
@@ -37,15 +38,6 @@ escape(const std::string& s)
         }
     }
     return out;
-}
-
-/** "%.17g" — the shortest format that round-trips every double. */
-std::string
-fmtExact(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /**
@@ -148,6 +140,35 @@ ResultRecord::value(const std::string& name) const
 }
 
 std::string
+keyDouble(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
+hex16(std::uint64_t h)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+std::uint64_t
+valuesFingerprint(
+    const std::vector<std::pair<std::string, double>>& values)
+{
+    std::uint64_t h = kFnvOffsetBasis;
+    for (const auto& [name, v] : values) {
+        h = fnv1aBytes(name.data(), name.size(), h);
+        h = fnv1aBytes(&v, sizeof(v), h);
+    }
+    return h;
+}
+
+std::string
 makeResultKey(std::vector<std::pair<std::string, std::string>> pairs)
 {
     std::sort(pairs.begin(), pairs.end());
@@ -177,16 +198,11 @@ serializeRecord(const ResultRecord& rec, bool include_wall)
         if (!first)
             out += ", ";
         first = false;
-        out += "\"" + escape(name) + "\": " + fmtExact(value);
+        out += "\"" + escape(name) + "\": " + keyDouble(value);
     }
-    char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(rec.fingerprint));
-    out += "}, \"fingerprint\": \"";
-    out += fp;
-    out += "\"";
+    out += "}, \"fingerprint\": \"" + hex16(rec.fingerprint) + "\"";
     if (include_wall)
-        out += ", \"wall_ms\": " + fmtExact(rec.wall_ms);
+        out += ", \"wall_ms\": " + keyDouble(rec.wall_ms);
     out += "}";
     return out;
 }

@@ -65,6 +65,20 @@ std::string
 makeResultKey(std::vector<std::pair<std::string, std::string>> pairs);
 
 /**
+ * "%.17g": the shortest rendering that round-trips every double.
+ * Record values and result-key fields use it, so a --serve query key
+ * matches the grid-written record byte for byte.
+ */
+std::string keyDouble(double v);
+
+/** 16-hex-digit rendering of @p h, as record fingerprints serialize. */
+std::string hex16(std::uint64_t h);
+
+/** Record fingerprint: byte-wise FNV-1a over names and bit patterns. */
+std::uint64_t valuesFingerprint(
+    const std::vector<std::pair<std::string, double>>& values);
+
+/**
  * Serialize @p rec as one JSON line (no trailing newline).
  * @p include_wall selects the journal form; the canonical form drops
  * wall_ms so result bytes are run-invariant.

@@ -1,6 +1,5 @@
 #include "topology/parse.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -9,37 +8,6 @@
 namespace themis {
 
 namespace {
-
-double
-parseNumber(const std::string& text, const std::string& what)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(text, &used);
-        if (used != text.size())
-            THEMIS_FATAL("trailing characters in " << what << " '"
-                                                   << text << "'");
-        // std::stod happily accepts "nan" and "inf", and NaN then
-        // slips past every '<= 0' validation downstream.
-        if (!std::isfinite(v))
-            THEMIS_FATAL(what << " '" << text << "' must be finite");
-        return v;
-    } catch (const std::invalid_argument&) {
-        THEMIS_FATAL("cannot parse " << what << " '" << text << "'");
-    } catch (const std::out_of_range&) {
-        THEMIS_FATAL(what << " '" << text << "' out of range");
-    }
-}
-
-int
-parseInt(const std::string& text, const std::string& what)
-{
-    const double v = parseNumber(text, what);
-    const int i = static_cast<int>(v);
-    if (static_cast<double>(i) != v)
-        THEMIS_FATAL(what << " '" << text << "' must be an integer");
-    return i;
-}
 
 DimensionConfig
 parseDimension(const std::string& field)

@@ -188,6 +188,61 @@ CASES = {
             "topo=2D-SW_SW size=1e8=2\n")], False),
     "err_exact_without_steady_state": ([
         run("--topo 2D-SW_SW --iterations 1 --model DLRM --exact")], False),
+    # --- --chunks reaches every simulating mode -------------------------
+    "iterations_chunks": ([
+        run("--topo 2D-SW_SW --iterations 4 --model DLRM --chunks 8")], False),
+    "priority_chunks": ([
+        run("--topo 2D-SW_SW --priority 4 --size 1e8 --chunks 8")], False),
+    # --- flags the selected mode does not read --------------------------
+    "rej_flag_mode": ([
+        run("--exact --size 1e8"),
+        run("--iterations 4 --model DLRM --grid 2D-SW_SW"),
+        run("--serve --grid 2D-SW_SW"),
+        run("--grid 2D-SW_SW --trace t.json"),
+        run("--grid 2D-SW_SW --adapt"),
+        run("--grid 2D-SW_SW --faults 'straggler@1e5:dim=0,factor=0.5'"),
+        run("--sweep 4,16 --cycle-limit 2"),
+        run("--jobs train:DLRM --priority 4"),
+        run("--jobs train:DLRM --size 1e8"),
+        run("--serve --jobs train:DLRM"),
+        run("--priority 4 --trace t.json"),
+        run("--merge a.jsonl,b.jsonl --enforce"),
+        run("--iterations 3 --jobs 2"),
+    ], False),
+    "usage": ([run("--bogus")], False),
+    # --- strict numeric values ------------------------------------------
+    "strict_flags": ([
+        run("--size 1e8x"),
+        run("--chunks 8abc"),
+        run("--chunks -3"),
+        run("--size 0"),
+        run("--replan-threshold nan"),
+        run("--replan-threshold -1"),
+        run("--priority nan"),
+        run("--tier-ratio 0.5 --jobs train:DLRM"),
+        run("--iterations 0"),
+        run("--iterations 2.5"),
+        run("--max-cells 1e10 --sweep 4"),
+        run("--jobs 99999999999 --sweep 4"),
+        run("--sweep 4,8x"),
+        run("--sweep 4,0"),
+    ], False),
+    "strict_serve_fields": ([
+        run("--serve --jobs 1",
+            "topo=2D-SW_SW chunks=8x\n"
+            "topo=2D-SW_SW chunks=-3\n"
+            "topo=2D-SW_SW size=1e8x\n"
+            "topo=2D-SW_SW size=nan\n"
+            "topo=2D-SW_SW model=DLRM iters=2.5\n")], False),
+    "strict_jobs_fields": ([
+        run("--jobs 'infer:3.2e7x,period=1e6'"),
+        run("--jobs 'infer:-1,period=1e6'"),
+        run("--jobs 'train:DLRM;infer:3.2e7,period=1e6x'"),
+        run("--jobs 'train:DLRM;infer:3.2e7,period=1e6,requests=6.5'"),
+        run("--jobs 'train:DLRM,iterations=inf'"),
+        run("--jobs 'train:DLRM,arrival=1e5ns'"),
+        run("--jobs 'train:DLRM,tier=zz'"),
+    ], False),
 }
 
 LOC = re.compile(r"[^\s'\"]*\b(?:src|examples)/[^\s:'\"]+\.[ch]pp:\d+: ")
@@ -248,7 +303,8 @@ def run_case(cli, steps, mask_cache):
                 if stdin is not None:
                     parts.append("[stdin]\n" + stdin.rstrip("\n"))
                 proc = subprocess.run(
-                    [cli] + shlex.split(args), cwd=tmp, input=stdin or "",
+                    ["themis_cli"] + shlex.split(args), executable=cli,
+                    cwd=tmp, input=stdin or "",
                     capture_output=True, text=True, timeout=300)
                 parts.append(f"[exit {proc.returncode}]")
                 parts.append(mask_text(proc.stdout, mask_cache).rstrip("\n"))

@@ -115,6 +115,23 @@ TEST(Strings, ToLower)
     EXPECT_EQ(toLower("Themis-SCF"), "themis-scf");
 }
 
+TEST(Strings, ParseNumberIsStrict)
+{
+    EXPECT_DOUBLE_EQ(parseNumber("1e8", "size"), 1e8);
+    EXPECT_DOUBLE_EQ(parseNumber("-2.5", "size"), -2.5);
+    for (const char* bad : {"", "x", "1e8x", "8abc", "nan", "inf", "1e999"})
+        EXPECT_THROW(parseNumber(bad, "size"), ConfigError) << bad;
+}
+
+TEST(Strings, ParseIntRejectsFractionsAndOverflow)
+{
+    EXPECT_EQ(parseInt("64", "chunks"), 64);
+    EXPECT_EQ(parseInt("-3", "chunks"), -3);
+    EXPECT_EQ(parseInt("1e3", "chunks"), 1000);
+    for (const char* bad : {"2.5", "3e9", "-3e9", "99999999999", "8abc"})
+        EXPECT_THROW(parseInt(bad, "chunks"), ConfigError) << bad;
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(123), b(123);

@@ -75,6 +75,18 @@ TEST(ResultKey, SortsFieldsAndJoins)
               sim::makeResultKey({{"a", "1"}, {"b", "2"}}));
 }
 
+TEST(ResultKey, FormatsExactDoublesAndRecordFingerprints)
+{
+    EXPECT_EQ(sim::keyDouble(1e8), "100000000");
+    EXPECT_EQ(sim::keyDouble(0.1), "0.10000000000000001");
+    EXPECT_EQ(sim::hex16(0xc460c75ff35a8d57ull), "c460c75ff35a8d57");
+    // Journals on disk carry this fingerprint for this record (a
+    // themis_cli --grid cell), so it must never change.
+    EXPECT_EQ(sim::valuesFingerprint(
+                  {{"time_ns", 876385.546875}, {"util", 0.9119488024989002}}),
+              0xc460c75ff35a8d57ull);
+}
+
 TEST(ResultRecordCodec, RoundTripsDoublesExactly)
 {
     ResultRecord rec;
