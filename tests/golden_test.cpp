@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "core/priority_policy.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
+#include "runtime/dimension_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_timeline.hpp"
 #include "sim/shared_channel.hpp"
@@ -311,6 +313,164 @@ TEST(Golden, EnforcedOrderConvergedRun)
     cfg.enforce_consistent_order = true;
     EXPECT_EQ(reportDigest(runFull(presets::make2DSwSw(), cfg, 3)),
               "0x38738bea901507b6");
+}
+
+// ------------------------------------------------ engine slow paths
+//
+// Single-engine scenarios for the selection paths the batched refill
+// skips: the anti-starvation pick of the oldest ready op, parking
+// under a replaced enforced order, and backoff requeues into a deep
+// SCF ready set. The engine's own fingerprint (every start, finish
+// and failure with its timestamp) is the pin.
+
+DimensionConfig
+engineDim(TimeNs step_latency)
+{
+    DimensionConfig d;
+    d.kind = DimKind::Switch;
+    d.size = 8;
+    d.link_bw_gbps = 800.0;
+    d.links_per_npu = 1;
+    d.step_latency_ns = step_latency;
+    return d;
+}
+
+runtime::ChunkOp
+engineOp(const DimensionConfig& dim, runtime::OpTag tag, Bytes entering,
+         FlowClass flow = {},
+         std::function<void(const runtime::ChunkOp&)> done = {})
+{
+    if (!done)
+        done = [](const runtime::ChunkOp&) {};
+    return runtime::makeChunkOp(tag, Phase::ReduceScatter, 0, 0,
+                                entering, dim, std::move(done), flow);
+}
+
+TEST(Golden, BypassBoundStartOrder)
+{
+    // A sustained urgent stream over bulk and normal backlogs on SCF
+    // engines, serial and latency-parallel, with a tight bypass bound:
+    // the oldest ready op is forced through again and again. Pins the
+    // start order, the streak seen at every start and the final one.
+    std::vector<std::string> got;
+    for (const int max_parallel : {1, 64}) {
+        sim::EventQueue q;
+        const DimensionConfig dim =
+            engineDim(max_parallel == 1 ? 0.0 : 2000.0);
+        runtime::AdmissionConfig admission;
+        admission.max_parallel_ops = max_parallel;
+        admission.max_priority_bypass = 5;
+        runtime::DimensionEngine engine(q, dim, 0, IntraDimPolicy::Scf,
+                                        admission);
+        Fnv1a h;
+        engine.armFingerprint(&h);
+        engine.setStartListener([&](const runtime::OpTag&) {
+            h.mix(static_cast<std::uint64_t>(engine.bypassStreak()));
+        });
+        const FlowClass bulk{0, 1.0};
+        const FlowClass normal{1, 2.0};
+        const FlowClass urgent{2, 8.0};
+        int remaining = 300;
+        std::function<void()> feed = [&] {
+            if (remaining-- <= 0)
+                return;
+            engine.enqueue(engineOp(
+                dim, runtime::OpTag{2, remaining, 0},
+                1.0e4 * (1 + remaining % 7), urgent,
+                [&](const runtime::ChunkOp&) { feed(); }));
+        };
+        for (int i = 0; i < 24; ++i)
+            engine.enqueue(engineOp(dim, runtime::OpTag{0, i, 0},
+                                    2.0e5 * (24 - i) + 1.0e3 * i,
+                                    bulk));
+        for (int i = 0; i < 12; ++i)
+            engine.enqueue(engineOp(dim, runtime::OpTag{1, i, 0},
+                                    5.0e4 * (1 + i % 5), normal));
+        for (int i = 0; i < 6; ++i)
+            feed();
+        q.run();
+        got.push_back(hex(h.value()));
+        got.push_back(std::to_string(engine.bypassStreak()));
+    }
+    EXPECT_EQ(got, (std::vector<std::string>{"0x4bf882a418420a20", "0",
+                                             "0xab25a67dfa025ec9",
+                                             "0"}));
+}
+
+TEST(Golden, EnforcedOrderReplacedWhileParked)
+{
+    // A long op holds a serial SCF engine while collective 1 queues
+    // under one enforced order; the order is then replaced (and a
+    // second collective's order cleared) with ops parked.
+    sim::EventQueue q;
+    const DimensionConfig dim = engineDim(0.0);
+    runtime::AdmissionConfig admission;
+    admission.max_parallel_ops = 1;
+    runtime::DimensionEngine engine(q, dim, 0, IntraDimPolicy::Scf,
+                                    admission);
+    Fnv1a h;
+    engine.armFingerprint(&h);
+    auto order = [](std::vector<int> chunks) {
+        std::vector<OpKey> keys;
+        for (int c : chunks)
+            keys.push_back(OpKey{c, 0});
+        return keys;
+    };
+    engine.enqueue(engineOp(dim, runtime::OpTag{0, 0, 0}, 4.0e7));
+    engine.setEnforcedOrder(1, order({5, 4, 3, 2, 1, 0, 6, 7}));
+    engine.setEnforcedOrder(2, order({3, 2, 1, 0}));
+    for (int i = 0; i < 6; ++i)
+        engine.enqueue(engineOp(dim, runtime::OpTag{1, i, 0},
+                                1.0e5 * (1 + i)));
+    for (int i = 0; i < 4; ++i)
+        engine.enqueue(engineOp(dim, runtime::OpTag{2, i, 0},
+                                3.0e5 * (4 - i)));
+    for (int i = 0; i < 5; ++i)
+        engine.enqueue(engineOp(dim, runtime::OpTag{3, i, 0},
+                                2.0e5 + 7.0e4 * i));
+    q.scheduleAfter(1.0e4, [&] {
+        engine.setEnforcedOrder(1, order({0, 2, 4, 6, 7, 5, 3, 1}));
+        engine.clearEnforcedOrder(2);
+    });
+    q.scheduleAfter(2.0e4, [&] {
+        for (int i = 6; i < 8; ++i)
+            engine.enqueue(engineOp(dim, runtime::OpTag{1, i, 0},
+                                    5.0e4 * i));
+    });
+    q.run();
+    EXPECT_EQ(engine.completedCount(), 18u);
+    EXPECT_EQ(hex(h.value()), "0xab35706b33746dfb");
+}
+
+TEST(Golden, JitteredFlapStormOnDeepScfQueue)
+{
+    // 400 SCF ops of distinct sizes queued at once on a latency-bound
+    // dimension, then a storm of flaps and partial failures: every
+    // failed op backs off with seeded jitter and re-enters a long
+    // ready set.
+    sim::EventQueue q;
+    const DimensionConfig dim = engineDim(1500.0);
+    runtime::DimensionEngine engine(q, dim, 0, IntraDimPolicy::Scf,
+                                    runtime::AdmissionConfig{});
+    runtime::RetryConfig retry;
+    retry.jitter = 0.5;
+    engine.armFaults(retry);
+    Fnv1a h;
+    engine.armFingerprint(&h);
+    for (int i = 0; i < 400; ++i)
+        engine.enqueue(engineOp(dim, runtime::OpTag{i % 3, i, 0},
+                                2.0e4 + 1.7e3 * ((i * 37) % 400)));
+    for (int k = 0; k < 6; ++k) {
+        const TimeNs at = 2.0e4 + 3.5e4 * k;
+        q.schedule(at, [&] { engine.setLinkDown(true); });
+        q.schedule(at + 4.0e3, [&] { engine.setLinkDown(false); });
+        q.schedule(at + 1.5e4, [&] { engine.failInFlight(); });
+    }
+    q.run();
+    EXPECT_EQ(engine.completedCount(), 400u);
+    EXPECT_EQ(hex(h.value()), "0x8739f53d26969aa0");
+    EXPECT_EQ(engine.retryCount(), 436u);
+    EXPECT_EQ(bits(engine.lostBytes()), "0x416851d610000000");
 }
 
 // ------------------------------------------------ channel fairness
