@@ -3,8 +3,9 @@
  * Simulator-core microbenchmark with machine-readable output.
  *
  * Measures the discrete-event core on the hot patterns the figure
- * harnesses stress — channel completion cascades at high concurrency
- * and raw event-queue throughput — and writes
+ * harnesses stress — channel completion cascades at high concurrency,
+ * raw event-queue throughput and one dimension engine draining a deep
+ * SCF ready queue — and writes
  * bench_results/BENCH_core.json so future PRs can track the perf
  * trajectory. Every channel run must progress exactly the bytes its
  * transfers began.
@@ -14,11 +15,13 @@
  * (O(log n)).
  */
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "runtime/dimension_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/shared_channel.hpp"
 
@@ -113,6 +116,80 @@ runQueueWorkload(int n)
     return best;
 }
 
+struct EngineMeasurement
+{
+    int ops = 0;
+    std::size_t events = 0;
+    double wall_ns = 0.0;
+    double ns_per_op = 0.0;
+    double ops_per_sec = 0.0;
+};
+
+/**
+ * One DimensionEngine alone on its channel: @p n SCF chunk ops of
+ * distinct sizes, all queued at once and run to completion. The step
+ * latency lets small ops run in parallel while large ones run alone,
+ * so every refill pops the ready queue's head against live admission
+ * aggregates. Ops are built before the clock starts; the wall covers
+ * enqueue plus the event loop.
+ */
+EngineMeasurement
+runEngineWorkload(int n)
+{
+    DimensionConfig dim;
+    dim.kind = DimKind::Switch;
+    dim.size = 8;
+    dim.link_bw_gbps = 800.0;
+    dim.links_per_npu = 1;
+    dim.step_latency_ns = 1000.0;
+    EngineMeasurement best;
+    for (int rep = 0; rep < 3; ++rep) {
+        sim::EventQueue queue;
+        runtime::DimensionEngine engine(queue, dim, 0, IntraDimPolicy::Scf,
+                                        runtime::AdmissionConfig{});
+        int completions = 0;
+        Bytes begun = 0.0;
+        std::vector<runtime::ChunkOp> ops;
+        ops.reserve(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+            // 37 is coprime to the power-of-two scales: distinct sizes
+            // in an order unrelated to arrival.
+            const Bytes entering = 1000.0 * (1 + (i * 37) % n);
+            ops.push_back(runtime::makeChunkOp(
+                runtime::OpTag{0, i, 0}, Phase::ReduceScatter, 0, 0,
+                entering, dim,
+                [&completions](const runtime::ChunkOp&) {
+                    ++completions;
+                }));
+            for (const StepPlan& step : ops.back().steps)
+                begun += step.bytes;
+        }
+        const double t0 = bench::nowNs();
+        for (runtime::ChunkOp& op : ops)
+            engine.enqueue(std::move(op));
+        const std::size_t events = queue.run();
+        const double wall = bench::nowNs() - t0;
+        if (completions != n)
+            THEMIS_PANIC("lost chunk ops: " << completions << "/" << n);
+        engine.channel().sync();
+        // Concurrent transfers share the rate, so progress is summed
+        // in a different order than begun: equal to rounding.
+        THEMIS_ASSERT(std::abs(engine.channel().progressedBytes() - begun) <=
+                          1e-9 * begun,
+                      "engine progressed "
+                          << engine.channel().progressedBytes() << " of "
+                          << begun << " bytes begun at n=" << n);
+        if (rep == 0 || wall < best.wall_ns) {
+            best.ops = n;
+            best.events = events;
+            best.wall_ns = wall;
+            best.ns_per_op = wall / n;
+            best.ops_per_sec = n / (wall * 1e-9);
+        }
+    }
+    return best;
+}
+
 void
 appendJson(std::string& out, const Measurement& m, bool last)
 {
@@ -146,6 +223,9 @@ main()
     for (int n : scales)
         gps.push_back(runChannelWorkload(n));
     const Measurement queue_run = runQueueWorkload(200000);
+    std::vector<EngineMeasurement> engine;
+    for (int n : {1024, 16384})
+        engine.push_back(runEngineWorkload(n));
 
     stats::TextTable t({"Concurrent transfers", "GPS ns/event",
                         "events", "peak active"});
@@ -155,9 +235,14 @@ main()
                   std::to_string(m.peak_active)});
     std::printf("%s\n", t.render().c_str());
     std::printf("event queue: %.0f events/sec (%.1f ns/event, "
-                "%zu events)\n\n",
+                "%zu events)\n",
                 queue_run.events_per_sec, queue_run.ns_per_event,
                 queue_run.events);
+    for (const EngineMeasurement& m : engine)
+        std::printf("engine (SCF, %d ops): %.0f chunk ops/sec "
+                    "(%.1f ns/op, %zu events)\n",
+                    m.ops, m.ops_per_sec, m.ns_per_op, m.events);
+    std::printf("\n");
 
     std::string json = "{\n  \"bench\": \"core_microbench\",\n";
     json += "  \"channel\": [\n";
@@ -165,6 +250,18 @@ main()
         appendJson(json, gps[i], i + 1 == gps.size());
     json += "  ],\n  \"event_queue\": [\n";
     appendJson(json, queue_run, true);
+    json += "  ],\n  \"engine\": [\n";
+    for (std::size_t i = 0; i < engine.size(); ++i) {
+        char buf[256];
+        std::snprintf(buf, sizeof(buf),
+                      "    {\"impl\": \"scf\", \"ops\": %d, "
+                      "\"events\": %zu, \"wall_ns\": %.0f, "
+                      "\"ns_per_op\": %.1f, \"ops_per_sec\": %.0f}%s\n",
+                      engine[i].ops, engine[i].events, engine[i].wall_ns,
+                      engine[i].ns_per_op, engine[i].ops_per_sec,
+                      i + 1 == engine.size() ? "" : ",");
+        json += buf;
+    }
     json += "  ]\n}\n";
 
     const std::string path = bench::resultPath("BENCH_core.json");

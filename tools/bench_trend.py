@@ -102,8 +102,9 @@ def load(path):
 
 def core_metrics(doc):
     """{label: events_per_sec} for the GPS and event-queue rows of
-    BENCH_core (files from before the seed-channel rows were dropped
-    also carry "legacy" rows, which are skipped)."""
+    BENCH_core, and {label: ops_per_sec} for its dimension-engine rows
+    (files from before the seed-channel rows were dropped also carry
+    "legacy" rows, which are skipped)."""
     out = {}
     for row in doc.get("channel", []):
         if row.get("impl") == "gps":
@@ -112,6 +113,9 @@ def core_metrics(doc):
     for row in doc.get("event_queue", []):
         key = f"event_queue/{row.get('transfers')}"
         out[key] = row.get("events_per_sec")
+    for row in doc.get("engine", []):
+        key = f"engine/{row.get('impl')}/{row.get('ops')}"
+        out[key] = row.get("ops_per_sec")
     return {k: v for k, v in out.items() if isinstance(v, (int, float))}
 
 
