@@ -56,6 +56,7 @@
 #include "common/string_util.hpp"
 #include "core/ideal_estimator.hpp"
 #include "core/priority_policy.hpp"
+#include "core/splitter.hpp"
 #include "core/themis_scheduler.hpp"
 #include "models/model_zoo.hpp"
 #include "npu/npu_machine.hpp"
@@ -1545,6 +1546,7 @@ parseQuery(const std::string& line, const Options& o)
     if (topo_tok.empty())
         return fail("topo= is required");
     try {
+        validateChunkCount(q.chunks);
         q.topo = resolveTopology(topo_tok);
         if (q.is_model)
             (void)models::byName(q.model);

@@ -14,8 +14,24 @@
 namespace themis {
 
 /**
+ * Most chunks one collective may be split into. Every chunk becomes a
+ * chunk op per stage, each held by its dimension engine until it
+ * finishes, so an unbounded count exhausts memory; the paper's
+ * figures use at most 512.
+ */
+constexpr int kMaxChunksPerCollective = 65536;
+
+/**
+ * Throw ConfigError unless 1 <= @p chunks <= kMaxChunksPerCollective.
+ * splitCollective applies it to every collective; front ends that
+ * want to reject a request before simulating call it directly.
+ */
+void validateChunkCount(int chunks);
+
+/**
  * Split a per-NPU collective of @p size bytes into @p chunks equal
- * chunks. Throws ConfigError on non-positive inputs.
+ * chunks. Throws ConfigError on a non-positive size and on a chunk
+ * count validateChunkCount rejects.
  */
 std::vector<Bytes> splitCollective(Bytes size, int chunks);
 

@@ -186,6 +186,13 @@ CASES = {
             "topo=2D-SW_SW model=NOPE\n"
             "topo=2D-SW_SW type=zz\n"
             "topo=2D-SW_SW size=1e8=2\n")], False),
+    "err_chunks_bound": ([
+        run("--size 1e9 --chunks 100000000"),
+        run("--serve --jobs 1",
+            "topo=2D-SW_SW chunks=100000000\n"
+            "topo=2D-SW_SW chunks=65537\n"),
+        run("--topo 2D-SW_SW --chunks 65537 --jobs 'train:DLRM'"),
+    ], False),
     "err_exact_without_steady_state": ([
         run("--topo 2D-SW_SW --iterations 1 --model DLRM --exact")], False),
     # --- --chunks reaches every simulating mode -------------------------

@@ -69,6 +69,15 @@ TEST(Splitter, RejectsBadInput)
     EXPECT_THROW(splitCollective(1.0e6, 0), ConfigError);
 }
 
+TEST(Splitter, BoundsChunkCount)
+{
+    EXPECT_EQ(splitCollective(1.0e9, kMaxChunksPerCollective).size(),
+              static_cast<std::size_t>(kMaxChunksPerCollective));
+    EXPECT_THROW(splitCollective(1.0e9, kMaxChunksPerCollective + 1),
+                 ConfigError);
+    EXPECT_THROW(splitCollective(1.0e9, 100000000), ConfigError);
+}
+
 TEST(BaselineSched, AllChunksIdenticalFixedOrder)
 {
     const auto model = fig5Model();
