@@ -42,19 +42,7 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
                                  AdmissionConfig admission)
     : queue_ref_(queue), config_(config), global_dim_(global_dim),
       policy_(policy), admission_(admission),
-      channel_(queue, config.bandwidth()),
-      pending_(0, std::hash<std::uint64_t>{},
-               std::equal_to<std::uint64_t>{},
-               ArenaAllocator<std::pair<const std::uint64_t,
-                                        PendingOp>>(&arena_)),
-      ready_(ReadyCompare{policy}, ArenaAllocator<ReadyKey>(&arena_)),
-      ready_age_(std::less<std::uint64_t>{},
-                 ArenaAllocator<std::uint64_t>(&arena_)),
-      active_(std::less<std::uint64_t>{},
-              ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>(
-                  &arena_)),
-      active_delays_(std::less<TimeNs>{},
-                     ArenaAllocator<TimeNs>(&arena_))
+      channel_(queue, config.bandwidth())
 {
     config_.validate();
     THEMIS_ASSERT(admission_.max_parallel_ops >= 1,
@@ -68,24 +56,109 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
 void
 DimensionEngine::beginIterationEpoch()
 {
-    THEMIS_ASSERT(queuedCount() == 0 && active_.empty(),
+    THEMIS_ASSERT(queued_ == 0 && active_.empty(),
                   "iteration epoch reset with ops in flight on dim "
                       << global_dim_);
     channel_.epochReset();
 }
 
-void
-DimensionEngine::readyInsert(const PendingOp& p)
+std::uint32_t
+DimensionEngine::liveSlot(std::uint64_t exec_id, SlotState state) const
 {
-    ready_.insert(readyKeyOf(p));
-    ready_age_.insert(p.arrival_seq);
+    const auto id = static_cast<std::uint32_t>(exec_id);
+    THEMIS_ASSERT(id < slots_.size() &&
+                      slots_[id].gen == (exec_id >> 32) &&
+                      slots_[id].state == state,
+                  "stale or unknown exec id " << exec_id << " on dim "
+                                              << global_dim_);
+    return id;
 }
 
 void
-DimensionEngine::readyErase(const PendingOp& p)
+DimensionEngine::queueSlot(std::uint32_t id)
 {
-    ready_.erase(readyKeyOf(p));
-    ready_age_.erase(p.arrival_seq);
+    Slot& s = slots_[id];
+    s.state = SlotState::Queued;
+    s.key = ReadyKey{s.op.flow.tier,
+                     s.op.transfer_time + s.op.fixed_delay,
+                     arrival_counter_++, s.op.tag.chunk_id};
+    ++queued_;
+}
+
+template <int H>
+bool
+DimensionEngine::heapBefore(std::uint32_t a, std::uint32_t b) const
+{
+    const ReadyKey& ka = slots_[a].key;
+    const ReadyKey& kb = slots_[b].key;
+    if (H == kAgeHeap)
+        return ka.arrival_seq < kb.arrival_seq;
+    return ReadyCompare{policy_}(ka, kb);
+}
+
+template <int H>
+void
+DimensionEngine::heapPlace(std::size_t i, std::uint32_t id)
+{
+    // The one sift both heaps share: up while @p id beats its parent,
+    // then down while a child beats it. Keys are unique (arrival_seq),
+    // so the head is always the unique minimum — the old ordered
+    // set's begin().
+    std::vector<std::uint32_t>& h = heaps_[H];
+    const auto put = [&](std::size_t at, std::uint32_t v) {
+        h[at] = v;
+        slots_[v].heap_pos[H] = static_cast<std::uint32_t>(at);
+    };
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!heapBefore<H>(id, h[parent]))
+            break;
+        put(i, h[parent]);
+        i = parent;
+    }
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= h.size())
+            break;
+        if (child + 1 < h.size() && heapBefore<H>(h[child + 1], h[child]))
+            ++child;
+        if (!heapBefore<H>(h[child], id))
+            break;
+        put(i, h[child]);
+        i = child;
+    }
+    put(i, id);
+}
+
+template <int H>
+void
+DimensionEngine::heapErase(std::uint32_t id)
+{
+    std::vector<std::uint32_t>& h = heaps_[H];
+    const std::size_t at = slots_[id].heap_pos[H];
+    slots_[id].heap_pos[H] = kNoPos;
+    const std::uint32_t last = h.back();
+    h.pop_back();
+    if (last != id)
+        heapPlace<H>(at, last);
+}
+
+void
+DimensionEngine::readyInsert(std::uint32_t id)
+{
+    heaps_[kReadyHeap].push_back(id);
+    heapPlace<kReadyHeap>(heaps_[kReadyHeap].size() - 1, id);
+    heaps_[kAgeHeap].push_back(id);
+    heapPlace<kAgeHeap>(heaps_[kAgeHeap].size() - 1, id);
+    ++tier_ready_[static_cast<std::size_t>(slots_[id].key.tier)];
+}
+
+void
+DimensionEngine::readyErase(std::uint32_t id)
+{
+    heapErase<kReadyHeap>(id);
+    heapErase<kAgeHeap>(id);
+    --tier_ready_[static_cast<std::size_t>(slots_[id].key.tier)];
 }
 
 void
@@ -97,12 +170,8 @@ DimensionEngine::setEnforcedOrder(int collective_id,
     // re-parks them under the new order.
     auto old = enforced_.find(collective_id);
     if (old != enforced_.end()) {
-        for (const auto& [key, seq] : old->second.parked) {
-            auto pit = pending_.find(seq);
-            THEMIS_ASSERT(pit != pending_.end(),
-                          "parked op missing from pending store");
-            readyInsert(pit->second);
-        }
+        for (const auto& [key, id] : old->second.parked)
+            readyInsert(id);
         enforced_.erase(old);
     }
     EnforcedOrder& eo = enforced_[collective_id];
@@ -110,16 +179,18 @@ DimensionEngine::setEnforcedOrder(int collective_id,
     // Ops of this collective may already be pending (normally the
     // order is installed before the session starts, so this loop sees
     // an empty set): park every one that is not the expected head.
-    for (const auto& [seq, p] : pending_) {
-        if (p.op.tag.collective_id != collective_id)
+    for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+        const ChunkOp& op = slots_[id].op;
+        if (slots_[id].state != SlotState::Queued ||
+            op.tag.collective_id != collective_id)
             continue;
-        if (p.op.attempt > 0)
+        if (op.attempt > 0)
             continue; // retry waiting out a flap; cursor passed it
         THEMIS_ASSERT(eo.next < eo.order.size(),
                       "enforced order shorter than pending op count");
-        if (parkKey(p.op.tag) != parkKey(eo.order[eo.next])) {
-            readyErase(p);
-            eo.parked.emplace(parkKey(p.op.tag), seq);
+        if (parkKey(op.tag) != parkKey(eo.order[eo.next])) {
+            readyErase(id);
+            eo.parked.emplace(parkKey(op.tag), id);
         }
     }
     // A replacement may have made an op startable (released from the
@@ -133,12 +204,8 @@ DimensionEngine::clearEnforcedOrder(int collective_id)
     auto it = enforced_.find(collective_id);
     if (it == enforced_.end())
         return;
-    for (const auto& [key, seq] : it->second.parked) {
-        auto pit = pending_.find(seq);
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "parked op missing from pending store");
-        readyInsert(pit->second);
-    }
+    for (const auto& [key, id] : it->second.parked)
+        readyInsert(id);
     const bool unparked = !it->second.parked.empty();
     enforced_.erase(it);
     if (unparked)
@@ -236,7 +303,7 @@ DimensionEngine::setLinkDown(bool down)
 void
 DimensionEngine::notifyPresence()
 {
-    const bool present = queuedCount() > 0 || !active_.empty();
+    const bool present = queued_ > 0 || !active_.empty();
     if (present == last_presence_)
         return;
     last_presence_ = present;
@@ -250,25 +317,33 @@ DimensionEngine::enqueue(ChunkOp op)
     THEMIS_ASSERT(op.global_dim == global_dim_,
                   "op for dim " << op.global_dim << " enqueued on dim "
                                 << global_dim_);
-    const std::uint64_t seq = arrival_counter_++;
-    auto eit = enforced_.find(op.tag.collective_id);
+    THEMIS_ASSERT(op.flow.tier >= 0 && op.flow.tier < kNumPriorityTiers,
+                  "flow tier " << op.flow.tier << " out of range");
+    std::uint32_t id = free_head_;
+    if (id == kNoPos) {
+        THEMIS_ASSERT(slots_.size() < kNoPos, "slot pool exhausted");
+        id = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        free_head_ = slots_[id].link;
+    }
+    slots_[id].op = std::move(op);
+    queueSlot(id);
+    const OpTag& tag = slots_[id].op.tag;
+    auto eit = enforced_.find(tag.collective_id);
     if (eit != enforced_.end()) {
         EnforcedOrder& eo = eit->second;
         THEMIS_ASSERT(eo.next < eo.order.size(),
                       "enforced order exhausted but ops keep arriving");
-        if (parkKey(op.tag) != parkKey(eo.order[eo.next])) {
+        if (parkKey(tag) != parkKey(eo.order[eo.next])) {
             // Not the expected head: park until the cursor reaches it.
             // Nothing became startable, so no tryStart().
-            eo.parked.emplace(parkKey(op.tag), seq);
-            pending_.emplace(seq, PendingOp{std::move(op), seq});
+            eo.parked.emplace(parkKey(tag), id);
             notifyPresence();
             return;
         }
     }
-    auto [pit, inserted] =
-        pending_.emplace(seq, PendingOp{std::move(op), seq});
-    THEMIS_ASSERT(inserted, "duplicate arrival sequence");
-    readyInsert(pit->second);
+    readyInsert(id);
     notifyPresence();
     tryStart();
 }
@@ -280,11 +355,10 @@ DimensionEngine::admissionAllows(const ChunkOp& candidate) const
         return true;
     if (static_cast<int>(active_.size()) >= admission_.max_parallel_ops)
         return false;
-    const TimeNs max_delay = *active_delays_.rbegin();
     // Weighted service demand as the candidate sees it under GPS:
     // admit while sum_i(t_i * w_i) < headroom * max_delay * w_cand.
     return active_weighted_sum_ <
-           admission_.latency_headroom * max_delay *
+           admission_.latency_headroom * active_max_delay_ *
                candidate.flow.weight;
 }
 
@@ -296,10 +370,7 @@ DimensionEngine::promoteExpected(EnforcedOrder& eo)
     auto it = eo.parked.find(parkKey(eo.order[eo.next]));
     if (it == eo.parked.end())
         return; // expected op has not arrived yet
-    auto pit = pending_.find(it->second);
-    THEMIS_ASSERT(pit != pending_.end(),
-                  "parked op missing from pending store");
-    readyInsert(pit->second);
+    readyInsert(it->second);
     eo.parked.erase(it);
 }
 
@@ -310,16 +381,19 @@ DimensionEngine::tryStart()
         return; // flapped: holds until the driver raises the link
     // The batched refill handles the overwhelmingly common shape —
     // one flow tier, no enforced orders, no anti-starvation debt —
-    // where selection order is exactly ready_ iteration order and no
-    // start can reshape the candidate set. Everything else takes the
-    // general one-op-at-a-time path. The two paths admit identical
-    // prefixes by construction (the batch evaluates the same
-    // check against the same running aggregates).
-    if (ready_.empty())
+    // where selection order is exactly the ready heap's pop order and
+    // no start can reshape the candidate set. Everything else takes
+    // the general one-op-at-a-time path. The two paths admit
+    // identical prefixes by construction (the batch evaluates the
+    // same check against the same running aggregates).
+    const std::vector<std::uint32_t>& ready = heaps_[kReadyHeap];
+    if (ready.empty())
         return;
+    const auto head_tier =
+        static_cast<std::size_t>(slots_[ready.front()].key.tier);
     if (!enforced_.empty() ||
         bypass_streak_ >= admission_.max_priority_bypass ||
-        ready_.begin()->tier != std::prev(ready_.end())->tier) {
+        tier_ready_[head_tier] != ready.size()) {
         tryStartScalar();
         return;
     }
@@ -334,7 +408,7 @@ DimensionEngine::tryStartBatch()
     // delay, running active count) are hoisted into locals, so every
     // candidate costs exactly one branch-light admit evaluation —
     // arithmetic on register-resident doubles, no per-start re-query
-    // of the active multiset or map — and the pass stops at the
+    // of the active aggregates — and the pass stops at the
     // first rejection, which closes the refill (nothing admitted
     // later could change the verdict: the aggregates only grow).
     // Admit rule == scalar path: the first op of an idle engine is
@@ -343,35 +417,28 @@ DimensionEngine::tryStartBatch()
     // headroom x largest delay x the candidate's weight (see
     // AdmissionConfig::latency_headroom).
     double sum = active_weighted_sum_;
-    double max_delay =
-        active_delays_.empty() ? 0.0 : *active_delays_.rbegin();
+    double max_delay = active_max_delay_;
     std::size_t active_n = active_.size();
     const double headroom = admission_.latency_headroom;
     const auto maxpar =
         static_cast<std::size_t>(admission_.max_parallel_ops);
     bool started = false;
-    while (!ready_.empty()) {
-        const std::uint64_t seq = ready_.begin()->arrival_seq;
-        const auto pit = pending_.find(seq);
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "ready op missing from pending store");
-        const double w = pit->second.op.flow.weight;
+    while (!heaps_[kReadyHeap].empty()) {
+        const std::uint32_t id = heaps_[kReadyHeap].front();
+        const ChunkOp& op = slots_[id].op;
+        const double w = op.flow.weight;
         const double budget = headroom * max_delay * w;
         const bool admit =
             (active_n == 0) |
             ((active_n < maxpar) & (sum < budget));
         if (!admit)
             break;
-        sum += pit->second.op.transfer_time * w;
-        max_delay = pit->second.op.fixed_delay > max_delay
-                        ? pit->second.op.fixed_delay
-                        : max_delay;
+        sum += op.transfer_time * w;
+        max_delay = op.fixed_delay > max_delay ? op.fixed_delay
+                                               : max_delay;
         ++active_n;
-        ready_.erase(ready_.begin());
-        ready_age_.erase(seq);
-        ChunkOp op = std::move(pit->second.op);
-        pending_.erase(pit);
-        startOp(std::move(op));
+        readyErase(id);
+        startOp(id);
         started = true;
     }
     // Same-tier starts can never bypass an older lower-tier op, so
@@ -384,36 +451,28 @@ DimensionEngine::tryStartBatch()
 void
 DimensionEngine::tryStartScalar()
 {
-    while (!ready_.empty()) {
+    while (!heaps_[kReadyHeap].empty()) {
         // Tier-then-policy head by default; the oldest waiting op
         // once the bypass streak hits the anti-starvation bound.
-        std::uint64_t chosen_seq = ready_.begin()->arrival_seq;
-        const std::uint64_t oldest_seq = *ready_age_.begin();
+        std::uint32_t chosen = heaps_[kReadyHeap].front();
+        const std::uint32_t oldest = heaps_[kAgeHeap].front();
         if (bypass_streak_ >= admission_.max_priority_bypass)
-            chosen_seq = oldest_seq;
-        auto pit = pending_.find(chosen_seq);
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "ready op missing from pending store");
-        if (!admissionAllows(pit->second.op))
+            chosen = oldest;
+        const ChunkOp& op = slots_[chosen].op;
+        if (!admissionAllows(op))
             return;
-        if (chosen_seq == oldest_seq) {
+        if (chosen == oldest) {
             bypass_streak_ = 0;
         } else {
-            auto oldest_pit = pending_.find(oldest_seq);
-            THEMIS_ASSERT(oldest_pit != pending_.end(),
-                          "ready op missing from pending store");
             // Only count genuine priority inversions: starting a
             // newer op of the same (or lower) tier is the policy's
             // own ordering, not a tier bypass.
-            if (pit->second.op.flow.tier >
-                oldest_pit->second.op.flow.tier)
+            if (op.flow.tier > slots_[oldest].op.flow.tier)
                 ++bypass_streak_;
             else
                 bypass_streak_ = 0;
         }
-        readyErase(pit->second);
-        ChunkOp op = std::move(pit->second.op);
-        pending_.erase(pit);
+        readyErase(chosen);
         // Retried ops (attempt > 0) already advanced their
         // collective's enforced cursor at their first start; bumping
         // it again would skip the true next op forever.
@@ -424,14 +483,14 @@ DimensionEngine::tryStartScalar()
                 promoteExpected(eit->second);
             }
         }
-        startOp(std::move(op));
+        startOp(chosen);
     }
 }
 
 void
-DimensionEngine::startOp(ChunkOp op)
+DimensionEngine::startOp(std::uint32_t id)
 {
-    const std::uint64_t exec_id = next_exec_id_++;
+    const ChunkOp& op = slots_[id].op;
     THEMIS_ASSERT(!op.steps.empty(), "op with no steps");
     if (fingerprint_ != nullptr) {
         // Event-trace component of the iteration fingerprint: op
@@ -453,19 +512,41 @@ DimensionEngine::startOp(ChunkOp op)
              op.entering, " B in, ", active_.size(), " active)");
     if (start_listener_)
         start_listener_(op.tag);
-    active_weighted_sum_ += op.transfer_time * op.flow.weight;
-    active_delays_.insert(op.fixed_delay);
-    active_.emplace(exec_id,
-                    ActiveOp{std::move(op), 0, queue_ref_.now()});
-    advance(exec_id);
+    Slot& s = slots_[id];
+    active_weighted_sum_ += s.op.transfer_time * s.op.flow.weight;
+    if (s.op.fixed_delay > active_max_delay_)
+        active_max_delay_ = s.op.fixed_delay;
+    s.state = SlotState::Active;
+    s.next_step = 0;
+    s.started_at = queue_ref_.now();
+    s.link = static_cast<std::uint32_t>(active_.size());
+    active_.push_back(id);
+    --queued_;
+    advance(execId(id));
+}
+
+void
+DimensionEngine::leaveActive(std::uint32_t id)
+{
+    Slot& s = slots_[id];
+    slots_[active_.back()].link = s.link;
+    active_[s.link] = active_.back();
+    active_.pop_back();
+    active_weighted_sum_ -= s.op.transfer_time * s.op.flow.weight;
+    if (s.op.fixed_delay == active_max_delay_) {
+        active_max_delay_ = 0.0;
+        for (std::uint32_t a : active_)
+            if (slots_[a].op.fixed_delay > active_max_delay_)
+                active_max_delay_ = slots_[a].op.fixed_delay;
+    }
+    if (active_.empty())
+        active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
 }
 
 void
 DimensionEngine::advance(std::uint64_t exec_id)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "advance on unknown op");
-    ActiveOp& a = it->second;
+    Slot& a = slots_[liveSlot(exec_id, SlotState::Active)];
     if (a.next_step >= a.op.steps.size()) {
         finish(exec_id);
         return;
@@ -509,18 +590,15 @@ DimensionEngine::advance(std::uint64_t exec_id)
 void
 DimensionEngine::finish(std::uint64_t exec_id)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "finish on unknown op");
-    ChunkOp op = std::move(it->second.op);
-    const TimeNs started_at = it->second.started_at;
-    active_.erase(it);
-    active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    const auto delay_it = active_delays_.find(op.fixed_delay);
-    THEMIS_ASSERT(delay_it != active_delays_.end(),
-                  "active delay aggregate out of sync");
-    active_delays_.erase(delay_it);
-    if (active_.empty())
-        active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
+    const std::uint32_t id = liveSlot(exec_id, SlotState::Active);
+    leaveActive(id);
+    Slot& s = slots_[id];
+    ChunkOp op = std::move(s.op);
+    const TimeNs started_at = s.started_at;
+    s.state = SlotState::Free;
+    ++s.gen;
+    s.link = free_head_;
+    free_head_ = id;
     ++completed_;
     if (fingerprint_ != nullptr) {
         fingerprint_->mix(std::uint64_t{0x464e}); // "FN"
@@ -561,64 +639,54 @@ DimensionEngine::finish(std::uint64_t exec_id)
 void
 DimensionEngine::failOp(std::uint64_t exec_id, Bytes lost)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "failOp on unknown op");
-    ActiveOp& a = it->second;
+    const std::uint32_t id = liveSlot(exec_id, SlotState::Active);
+    Slot& a = slots_[id];
     THEMIS_ASSERT(a.next_step >= 1, "failOp before any step began");
     // Earlier steps of this attempt completed in full; the whole op
     // restarts from step 0 on retry, so their bytes are re-sent too.
     for (std::size_t s = 0; s + 1 < a.next_step; ++s)
         lost += a.op.steps[s].bytes;
-    ChunkOp op = std::move(a.op);
-    active_.erase(it);
-    active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    const auto delay_it = active_delays_.find(op.fixed_delay);
-    THEMIS_ASSERT(delay_it != active_delays_.end(),
-                  "active delay aggregate out of sync");
-    active_delays_.erase(delay_it);
-    if (active_.empty())
-        active_weighted_sum_ = 0.0;
-    ++op.attempt;
+    leaveActive(id);
+    a.state = SlotState::Backoff;
+    // The op waits out its backoff in its slot. The listeners below
+    // may enqueue (and so move the pool): copy what they report.
+    const int attempt = ++a.op.attempt;
+    const OpTag tag = a.op.tag;
+    const TimeNs delay = retryBackoffDelay(a.op);
     ++retry_count_;
     lost_bytes_ += lost;
     if (fingerprint_ != nullptr) {
         fingerprint_->mix(std::uint64_t{0x464c}); // "FL"
         fingerprint_->mix(static_cast<std::uint64_t>(global_dim_));
-        fingerprint_->mix(
-            static_cast<std::uint64_t>(op.tag.collective_id));
-        fingerprint_->mix(static_cast<std::uint64_t>(op.tag.chunk_id));
-        fingerprint_->mix(
-            static_cast<std::uint64_t>(op.tag.stage_index));
-        fingerprint_->mix(static_cast<std::uint64_t>(op.attempt));
+        fingerprint_->mix(static_cast<std::uint64_t>(tag.collective_id));
+        fingerprint_->mix(static_cast<std::uint64_t>(tag.chunk_id));
+        fingerprint_->mix(static_cast<std::uint64_t>(tag.stage_index));
+        fingerprint_->mix(static_cast<std::uint64_t>(attempt));
         fingerprint_->mix(queue_ref_.now());
     }
     logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
-             " FAIL chunk ", op.tag.chunk_id, " stage ",
-             op.tag.stage_index, " attempt ", op.attempt, " (", lost,
-             " B lost)");
-    const TimeNs delay = retryBackoffDelay(op);
+             " FAIL chunk ", tag.chunk_id, " stage ", tag.stage_index,
+             " attempt ", attempt, " (", lost, " B lost)");
     if (retry_listener_)
         retry_listener_(global_dim_, lost, delay);
-    if (op.attempt > retry_.max_attempts) {
+    if (attempt > retry_.max_attempts) {
         FatalRetryReport report;
         report.dim = global_dim_;
-        report.op = op.tag;
-        report.attempts = op.attempt;
+        report.op = tag;
+        report.attempts = attempt;
         report.lost_bytes = lost_bytes_;
         if (fatal_retry_listener_)
             fatal_retry_listener_(report);
         std::ostringstream oss;
-        oss << "chunk " << op.tag.chunk_id << " stage "
-            << op.tag.stage_index << " on dim " << global_dim_
+        oss << "chunk " << tag.chunk_id << " stage " << tag.stage_index
+            << " on dim " << global_dim_
             << " exceeded " << retry_.max_attempts
             << " retry attempts; raise retry max_attempts or shorten "
                "the flap windows";
         throw RetryExhaustedError(oss.str(), report);
     }
-    queue_ref_.scheduleAfter(
-        delay, [this, op = std::move(op)]() mutable {
-            requeueRetry(std::move(op));
-        });
+    queue_ref_.scheduleAfter(delay,
+                             [this, exec_id] { requeueRetry(exec_id); });
     notifyPresence();
 }
 
@@ -668,13 +736,11 @@ DimensionEngine::publishMetrics(
 }
 
 void
-DimensionEngine::requeueRetry(ChunkOp op)
+DimensionEngine::requeueRetry(std::uint64_t exec_id)
 {
-    const std::uint64_t seq = arrival_counter_++;
-    auto [pit, inserted] =
-        pending_.emplace(seq, PendingOp{std::move(op), seq});
-    THEMIS_ASSERT(inserted, "duplicate arrival sequence");
-    readyInsert(pit->second);
+    const std::uint32_t id = liveSlot(exec_id, SlotState::Backoff);
+    queueSlot(id);
+    readyInsert(id);
     notifyPresence();
     tryStart();
 }

@@ -18,26 +18,34 @@
  *    bandwidth held) and then transfers its bytes through the shared
  *    channel (processor sharing across concurrent ops).
  *
- * Selection is indexed: pending ops that are *eligible* (their
+ * Storage is one slot pool: enqueue writes an op into a slot, and
+ * the op stays there while it is queued, active or backing off after
+ * a failure, until finish moves it out. The slot index, tagged with a
+ * generation bumped on every free, is the op's exec id; freed slots
+ * go on an intrusive free list, so after the first iteration has set
+ * the pool's high-water mark, op churn allocates nothing.
+ *
+ * Selection is indexed: queued ops that are *eligible* (their
  * collective has no enforced order, or they are exactly its next
- * expected op) live in a ready-set ordered by the intra-dimension
- * policy key, so picking the next op is O(log n) instead of a linear
- * rescan of the queue per start. Ops of an enforced collective that
- * are not yet expected are parked per collective and promoted when
- * the order cursor reaches them.
+ * expected op) sit in two indexed binary heaps over slot ids — one
+ * ordered by the intra-dimension policy key (ReadyCompare), one by
+ * arrival (the oldest ready op, for the anti-starvation bound). Each
+ * slot records its position in both, so taking the head of either or
+ * erasing any ready op is O(log n). Ops of an enforced collective
+ * that are not yet expected are parked per collective and promoted
+ * when the order cursor reaches them.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
  * anti-starvation debt is pending, the selection order is exactly the
- * ready set's iteration order and no start can reshape it — so the
- * engine evaluates the admission headroom checks over the ready
- * prefix in one streamed pass with the aggregates (running
- * transfer-time sum, running max delay, running active count) hoisted
- * into locals and a branch-light admit formula, instead of
- * re-querying the active multiset and map per start. The
- * one-op-at-a-time loop is the general path: it serves enforced
- * orders, mixed tiers and pending bypasses, and admits the identical
- * prefix wherever the batch applies.
+ * ready heap's pop order and no start can reshape it — so the engine
+ * evaluates the admission headroom checks over the ready prefix in
+ * one streamed pass with the aggregates (running transfer-time sum,
+ * running max delay, running active count) hoisted into locals and a
+ * branch-light admit formula. The one-op-at-a-time loop is the
+ * general path: it serves enforced orders, mixed tiers and pending
+ * bypasses, and admits the identical prefix wherever the batch
+ * applies.
  *
  * Anti-starvation: tier precedence alone would let a sustained
  * high-tier stream park a low-tier op forever. The engine counts
@@ -50,16 +58,13 @@
 #ifndef THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 #define THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "core/consistency_planner.hpp"
@@ -314,7 +319,7 @@ class DimensionEngine
     int globalDim() const { return global_dim_; }
 
     /** Currently queued (not yet started) op count. */
-    std::size_t queuedCount() const { return pending_.size(); }
+    std::size_t queuedCount() const { return queued_; }
 
     /** Currently executing op count. */
     std::size_t activeCount() const { return active_.size(); }
@@ -349,8 +354,17 @@ class DimensionEngine
      */
     int bypassStreak() const { return bypass_streak_; }
 
-    /** Arena slabs backing the pending/ready/active stores. */
-    std::size_t arenaSlabCount() const { return arena_.slabCount(); }
+    /**
+     * Capacity of the slot pool, both ready heaps and the active list
+     * (a flat value across epochs proves the pool reached its
+     * high-water mark and op churn allocates nothing).
+     */
+    std::size_t
+    poolCapacity() const
+    {
+        return slots_.capacity() + heaps_[0].capacity() +
+               heaps_[1].capacity() + active_.capacity();
+    }
 
     /**
      * Publish this engine's cumulative observables as gauges under
@@ -360,20 +374,7 @@ class DimensionEngine
                         const std::string& prefix) const;
 
   private:
-    struct PendingOp
-    {
-        ChunkOp op;
-        std::uint64_t arrival_seq;
-    };
-
-    struct ActiveOp
-    {
-        ChunkOp op;
-        std::size_t next_step = 0;
-        TimeNs started_at = 0.0;
-    };
-
-    /** Ready-set key; ordering implements tier + policy tie-breaks. */
+    /** Ready-heap key; ordering implements tier + policy tie-breaks. */
     struct ReadyKey
     {
         int tier = 0;
@@ -404,28 +405,59 @@ class DimensionEngine
         }
     };
 
+    static constexpr std::uint32_t kNoPos = 0xffffffffu;
+    /** Heap indexes into heaps_ / Slot::heap_pos. */
+    static constexpr int kReadyHeap = 0;
+    static constexpr int kAgeHeap = 1;
+
+    enum class SlotState : std::uint8_t { Free, Queued, Active, Backoff };
+
+    /** One op from enqueue to finish; see file comment. */
+    struct Slot
+    {
+        /** Set each time the op (re)enters the queue. */
+        ReadyKey key;
+        /** Position in each heap; kNoPos while out of it. */
+        std::uint32_t heap_pos[2] = {kNoPos, kNoPos};
+        /** Position in active_ while active; next free slot while
+         *  free. */
+        std::uint32_t link = kNoPos;
+        std::uint32_t gen = 0;
+        SlotState state = SlotState::Free;
+        std::uint32_t next_step = 0;
+        TimeNs started_at = 0.0;
+        ChunkOp op;
+    };
+
     struct EnforcedOrder
     {
         std::vector<OpKey> order;
         std::size_t next = 0;
-        /** Parked (not yet expected) ops: OpKey -> arrival_seq. */
-        std::map<std::pair<int, int>, std::uint64_t> parked;
+        /** Parked (not yet expected) ops: OpKey -> slot. */
+        std::map<std::pair<int, int>, std::uint32_t> parked;
     };
 
-    static ReadyKey
-    readyKeyOf(const PendingOp& p)
+    std::uint64_t
+    execId(std::uint32_t id) const
     {
-        return ReadyKey{p.op.flow.tier,
-                        p.op.transfer_time + p.op.fixed_delay,
-                        p.arrival_seq, p.op.tag.chunk_id};
+        return (std::uint64_t{slots_[id].gen} << 32) | id;
     }
 
-    /** Insert/remove @p p in both ready indexes (policy + age). */
-    void readyInsert(const PendingOp& p);
-    void readyErase(const PendingOp& p);
+    /** Slot of @p exec_id, which must be live and in @p state. */
+    std::uint32_t liveSlot(std::uint64_t exec_id, SlotState state) const;
+    /** Give @p id a fresh arrival and enter it in both ready heaps. */
+    void queueSlot(std::uint32_t id);
+    void readyInsert(std::uint32_t id);
+    void readyErase(std::uint32_t id);
+    template <int H> bool heapBefore(std::uint32_t a, std::uint32_t b) const;
+    /** Sift @p id from hole @p i of heap H to its place. */
+    template <int H> void heapPlace(std::size_t i, std::uint32_t id);
+    template <int H> void heapErase(std::uint32_t id);
+    /** Drop @p id from the active list and its aggregates. */
+    void leaveActive(std::uint32_t id);
 
     void tryStart();
-    /** One-op-at-a-time refill over the indexed ready set (general
+    /** One-op-at-a-time refill over the indexed ready heaps (general
      *  path: enforced orders, mixed tiers, anti-starvation). */
     void tryStartScalar();
     /** Batched refill: admission headroom checks streamed over the
@@ -435,7 +467,7 @@ class DimensionEngine
     bool admissionAllows(const ChunkOp& candidate) const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
-    void startOp(ChunkOp op);
+    void startOp(std::uint32_t id);
     void advance(std::uint64_t exec_id);
     void finish(std::uint64_t exec_id);
     /** Fault path: remove @p exec_id from the active set, account
@@ -444,9 +476,9 @@ class DimensionEngine
 
     /** Capped exponential backoff (plus jitter) for @p op's attempt. */
     TimeNs retryBackoffDelay(const ChunkOp& op) const;
-    /** Backoff expiry: the op re-enters pending/ready directly (an
+    /** Backoff expiry: the op re-enters the ready heaps directly (an
      *  enforced order's cursor has already passed a started op). */
-    void requeueRetry(ChunkOp op);
+    void requeueRetry(std::uint64_t exec_id);
     void notifyPresence();
 
     sim::EventQueue& queue_ref_;
@@ -456,40 +488,26 @@ class DimensionEngine
     AdmissionConfig admission_;
     sim::SharedChannel channel_;
 
-    /**
-     * Node arena backing every per-op container below: after the
-     * first iteration has shaped the pool, op churn allocates nothing
-     * and the nodes stay packed in a few slabs (declared first so it
-     * outlives the containers).
-     */
-    NodeArena arena_;
-
-    /** Indexed pending store: arrival_seq -> op, plus the eligible
-     *  set ordered by policy key. */
-    std::unordered_map<
-        std::uint64_t, PendingOp, std::hash<std::uint64_t>,
-        std::equal_to<std::uint64_t>,
-        ArenaAllocator<std::pair<const std::uint64_t, PendingOp>>>
-        pending_;
-    std::set<ReadyKey, ReadyCompare, ArenaAllocator<ReadyKey>> ready_;
-    /** Age index over ready_ (arrival_seq ascending): the oldest
-     *  waiting op, for the anti-starvation bound. */
-    std::set<std::uint64_t, std::less<std::uint64_t>,
-             ArenaAllocator<std::uint64_t>>
-        ready_age_;
+    std::vector<Slot> slots_;
+    std::uint32_t free_head_ = kNoPos;
+    /** Ready heaps over slot ids: kReadyHeap by ReadyCompare,
+     *  kAgeHeap by arrival_seq. */
+    std::vector<std::uint32_t> heaps_[2];
+    /** Ready ops per flow tier (one tier spans the heap iff its count
+     *  is the heap size). */
+    std::array<std::size_t, kNumPriorityTiers> tier_ready_{};
+    /** Queued ops, ready and parked. */
+    std::size_t queued_ = 0;
     /** Consecutive starts that bypassed an older lower-tier op. */
     int bypass_streak_ = 0;
-    std::map<std::uint64_t, ActiveOp, std::less<std::uint64_t>,
-             ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>>
-        active_;
+    /** Active slots, unordered; never longer than max_parallel_ops. */
+    std::vector<std::uint32_t> active_;
     /** Aggregates over active_, maintained incrementally so the
-     *  admission check is O(1) instead of rescanning the active set:
-     *  the weight-scaled transfer-time sum (sum of transfer_i * w_i)
-     *  and the fixed delays. */
+     *  admission check is O(1): the weight-scaled transfer-time sum
+     *  (sum of transfer_i * w_i) and the largest fixed delay, which is
+     *  recomputed over active_ only when the op holding it leaves. */
     TimeNs active_weighted_sum_ = 0.0;
-    std::multiset<TimeNs, std::less<TimeNs>, ArenaAllocator<TimeNs>>
-        active_delays_;
-    std::uint64_t next_exec_id_ = 1;
+    TimeNs active_max_delay_ = 0.0;
     std::uint64_t arrival_counter_ = 0;
     std::uint64_t completed_ = 0;
 

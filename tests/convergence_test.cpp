@@ -178,7 +178,7 @@ TEST(Convergence, CarryLoadConfigNeverReplays)
     EXPECT_EQ(r.steady_at, -1);
 }
 
-TEST(Convergence, SessionPoolAndArenaStopGrowingAtSteadyState)
+TEST(Convergence, SessionPoolAndSlotPoolStopGrowingAtSteadyState)
 {
     sim::EventQueue queue;
     runtime::CommRuntime comm(queue, presets::make2DSwSw(),
@@ -190,19 +190,20 @@ TEST(Convergence, SessionPoolAndArenaStopGrowingAtSteadyState)
     opts.replay = false;
     runConverged(comm, loop, opts);
     const std::size_t session_slots = comm.sessionSlotCount();
-    std::size_t arena_slabs = 0;
+    std::size_t pool_capacity = 0;
     for (int d = 0; d < comm.topology().numDims(); ++d)
-        arena_slabs += comm.engine(d).arenaSlabCount();
+        pool_capacity += comm.engine(d).poolCapacity();
 
     runConverged(comm, loop, opts);
     runConverged(comm, loop, opts);
     EXPECT_EQ(comm.sessionSlotCount(), session_slots)
         << "sessions were re-allocated instead of recycled";
-    std::size_t arena_slabs_after = 0;
+    std::size_t pool_capacity_after = 0;
     for (int d = 0; d < comm.topology().numDims(); ++d)
-        arena_slabs_after += comm.engine(d).arenaSlabCount();
-    EXPECT_EQ(arena_slabs_after, arena_slabs)
-        << "engine arenas kept growing across epochs";
+        pool_capacity_after += comm.engine(d).poolCapacity();
+    EXPECT_GT(pool_capacity, 0u);
+    EXPECT_EQ(pool_capacity_after, pool_capacity)
+        << "engine slot pools kept growing across epochs";
 }
 
 TEST(Convergence, EpochRebaseKeepsRecordsInIterationFrame)
