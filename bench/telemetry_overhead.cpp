@@ -15,13 +15,18 @@
  *     Telemetry is a pure observer; any divergence is a bug.
  *  2. Throughput: aggregate simulated-ops/sec with telemetry on stays
  *     within kOverheadFloor (>= 0.90x, i.e. <= 10% overhead) of the
- *     bare runs, using best-of-kRepeats walls to shed scheduler noise.
+ *     bare runs. The gate is the median of kPairs per-pair ratios: a
+ *     pair is one bare and one armed sample over all cells, taken back
+ *     to back in alternating order, and each sample repeats its cell
+ *     for at least kMinSampleNs — so slow host drift cancels within a
+ *     pair and a single preempted sample cannot decide the verdict.
  *
  * Writes bench_results/BENCH_telemetry.json; tools/bench_trend.py
  * historizes the overhead ratio.
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,7 +45,8 @@ using namespace themis;
 namespace {
 
 constexpr double kOverheadFloor = 0.90; // ops/sec on >= 0.90x off
-constexpr int kRepeats = 5;
+constexpr int kPairs = 15;
+constexpr double kMinSampleNs = 3.0e7; // 30 ms of repeats per sample
 
 struct Cell
 {
@@ -88,6 +94,33 @@ runCell(const Topology& topo, const Cell& cell, bool instrumented)
     return r;
 }
 
+/** Simulated ops and wall of @p cell repeated for >= kMinSampleNs. */
+struct Sample
+{
+    double ops = 0.0;
+    double wall_ns = 0.0;
+};
+
+Sample
+sampleCell(const Topology& topo, const Cell& cell, bool instrumented)
+{
+    Sample s;
+    while (s.wall_ns < kMinSampleNs) {
+        const CellRun r = runCell(topo, cell, instrumented);
+        s.ops += static_cast<double>(r.report.ops);
+        s.wall_ns += r.wall_ns;
+    }
+    return s;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 } // namespace
 
 int
@@ -110,24 +143,12 @@ main()
     cells.push_back({"full-sim", 6, false, nullptr, false});
     cells.push_back({"faults-adapt", 8, true, &faults, true});
 
-    double off_ops_total = 0.0, off_wall_total = 0.0;
-    double on_ops_total = 0.0, on_wall_total = 0.0;
+    // Bit-identity and liveness, once per cell.
     bool all_identical = true;
-    std::string cells_json;
-
+    std::vector<CellRun> armed;
     for (const auto& cell : cells) {
-        double off_wall = 0.0, on_wall = 0.0;
-        CellRun off, on;
-        // Best-of-N walls: the work is deterministic, the host is not.
-        for (int r = 0; r < kRepeats; ++r) {
-            off = runCell(topo, cell, false);
-            on = runCell(topo, cell, true);
-            off_wall = r == 0 ? off.wall_ns
-                              : std::min(off_wall, off.wall_ns);
-            on_wall =
-                r == 0 ? on.wall_ns : std::min(on_wall, on.wall_ns);
-        }
-
+        const CellRun off = runCell(topo, cell, false);
+        CellRun on = runCell(topo, cell, true);
         const bool identical =
             workload::resultsBitIdentical(off.report, on.report) &&
             off.report.steady_fingerprint ==
@@ -141,43 +162,77 @@ main()
                           << cell.name
                           << "' published nothing — dead telemetry "
                              "wiring, the comparison is vacuous");
+        armed.push_back(std::move(on));
+    }
 
-        const double ops = static_cast<double>(off.report.ops);
-        off_ops_total += ops;
-        off_wall_total += off_wall;
-        on_ops_total += ops;
-        on_wall_total += on_wall;
+    // Interleaved pairs: bare then armed on even pairs, armed then
+    // bare on odd ones, every cell in each sample.
+    std::vector<double> ratios;
+    std::vector<std::array<Sample, 2>> totals(cells.size());
+    double off_ops_total = 0.0, off_wall_total = 0.0;
+    double on_ops_total = 0.0, on_wall_total = 0.0;
+    for (int p = 0; p < kPairs; ++p) {
+        std::array<Sample, 2> pair; // [bare, armed]
+        for (int k = 0; k < 2; ++k) {
+            const bool instrumented = (k == 1) != (p % 2 == 1);
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+                const Sample s = sampleCell(topo, cells[c], instrumented);
+                Sample& into = pair[instrumented ? 1 : 0];
+                into.ops += s.ops;
+                into.wall_ns += s.wall_ns;
+                totals[c][instrumented ? 1 : 0].ops += s.ops;
+                totals[c][instrumented ? 1 : 0].wall_ns += s.wall_ns;
+            }
+        }
+        ratios.push_back((pair[1].ops / pair[1].wall_ns) /
+                         (pair[0].ops / pair[0].wall_ns));
+        off_ops_total += pair[0].ops;
+        off_wall_total += pair[0].wall_ns;
+        on_ops_total += pair[1].ops;
+        on_wall_total += pair[1].wall_ns;
+    }
 
-        const double ratio = off_wall / on_wall;
+    std::string cells_json;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        // Mean wall per simulated op, scaled to one run of the cell.
+        const double ops = static_cast<double>(armed[c].report.ops);
+        const double off_wall =
+            totals[c][0].wall_ns / totals[c][0].ops * ops;
+        const double on_wall = totals[c][1].wall_ns / totals[c][1].ops * ops;
         std::printf("  %-13s %6.2f ms bare  %6.2f ms armed  "
                     "(%.2fx, %zu instrument(s), %zu trace event(s), "
                     "fingerprint %016llx)\n",
-                    cell.name.c_str(), off_wall / 1e6, on_wall / 1e6,
-                    ratio, on.metrics, on.trace_events,
+                    cells[c].name.c_str(), off_wall / 1e6, on_wall / 1e6,
+                    off_wall / on_wall, armed[c].metrics,
+                    armed[c].trace_events,
                     static_cast<unsigned long long>(
-                        on.report.steady_fingerprint));
+                        armed[c].report.steady_fingerprint));
 
         char buf[256];
         std::snprintf(
             buf, sizeof(buf),
             "%s    {\"cell\": \"%s\", \"bare_wall_ns\": %.0f, "
-            "\"armed_wall_ns\": %.0f, \"bit_identical\": %s}",
-            cells_json.empty() ? "" : ",\n", cell.name.c_str(),
-            off_wall, on_wall, identical ? "true" : "false");
+            "\"armed_wall_ns\": %.0f, \"bit_identical\": true}",
+            cells_json.empty() ? "" : ",\n", cells[c].name.c_str(),
+            off_wall, on_wall);
         cells_json += buf;
     }
 
     const double off_rate = off_ops_total / (off_wall_total * 1e-9);
     const double on_rate = on_ops_total / (on_wall_total * 1e-9);
-    const double overhead_ratio = on_rate / off_rate;
+    const double overhead_ratio = median(ratios);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     THEMIS_ASSERT(overhead_ratio >= kOverheadFloor,
                   "telemetry costs too much: armed runs at "
                       << overhead_ratio << "x of bare throughput "
-                      << "(floor " << kOverheadFloor << "x)");
-    std::printf("\naggregate: %.0f ops/sec bare, %.0f ops/sec armed "
-                "-> %.3fx (floor %.2fx, asserted); all cells "
+                      << "(median of " << kPairs << " pairs; floor "
+                      << kOverheadFloor << "x)");
+    std::printf("\naggregate: %.0f ops/sec bare, %.0f ops/sec armed; "
+                "median pair ratio %.3fx over %d pairs (range "
+                "%.3f-%.3f; floor %.2fx, asserted); all cells "
                 "bit-identical\n",
-                off_rate, on_rate, overhead_ratio, kOverheadFloor);
+                off_rate, on_rate, overhead_ratio, kPairs, *lo, *hi,
+                kOverheadFloor);
 
     // ---- JSON ------------------------------------------------------
     char buf[384];
