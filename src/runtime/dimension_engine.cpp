@@ -79,9 +79,9 @@ DimensionEngine::queueSlot(std::uint32_t id)
 {
     Slot& s = slots_[id];
     s.state = SlotState::Queued;
-    s.key = ReadyKey{s.op.flow.tier,
-                     s.op.transfer_time + s.op.fixed_delay,
-                     arrival_counter_++, s.op.tag.chunk_id};
+    keys_[id].key = ReadyKey{s.op.transfer_time + s.op.fixed_delay,
+                             arrival_counter_++, s.op.flow.tier,
+                             s.op.tag.chunk_id};
     ++queued_;
 }
 
@@ -89,8 +89,8 @@ template <int H>
 bool
 DimensionEngine::heapBefore(std::uint32_t a, std::uint32_t b) const
 {
-    const ReadyKey& ka = slots_[a].key;
-    const ReadyKey& kb = slots_[b].key;
+    const ReadyKey& ka = keys_[a].key;
+    const ReadyKey& kb = keys_[b].key;
     if (H == kAgeHeap)
         return ka.arrival_seq < kb.arrival_seq;
     return ReadyCompare{policy_}(ka, kb);
@@ -100,32 +100,30 @@ template <int H>
 void
 DimensionEngine::heapPlace(std::size_t i, std::uint32_t id)
 {
-    // The one sift both heaps share: up while @p id beats its parent,
-    // then down while a child beats it. Keys are unique (arrival_seq),
-    // so the head is always the unique minimum — the old ordered
-    // set's begin().
+    // The one sift both heaps share (Floyd's): walk the hole down to
+    // a leaf along the smaller children, then sift @p id up from
+    // there, past @p i if it beats an ancestor. One comparison per
+    // level on the way down, and @p id — usually the old last leaf —
+    // rarely climbs far. Keys are unique (arrival_seq), so the head
+    // is always the unique minimum.
     std::vector<std::uint32_t>& h = heaps_[H];
     const auto put = [&](std::size_t at, std::uint32_t v) {
         h[at] = v;
-        slots_[v].heap_pos[H] = static_cast<std::uint32_t>(at);
+        keys_[v].heap_pos[H] = static_cast<std::uint32_t>(at);
     };
+    for (std::size_t child = 2 * i + 1; child < h.size();
+         child = 2 * i + 1) {
+        if (child + 1 < h.size() && heapBefore<H>(h[child + 1], h[child]))
+            ++child;
+        put(i, h[child]);
+        i = child;
+    }
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
         if (!heapBefore<H>(id, h[parent]))
             break;
         put(i, h[parent]);
         i = parent;
-    }
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= h.size())
-            break;
-        if (child + 1 < h.size() && heapBefore<H>(h[child + 1], h[child]))
-            ++child;
-        if (!heapBefore<H>(h[child], id))
-            break;
-        put(i, h[child]);
-        i = child;
     }
     put(i, id);
 }
@@ -135,8 +133,8 @@ void
 DimensionEngine::heapErase(std::uint32_t id)
 {
     std::vector<std::uint32_t>& h = heaps_[H];
-    const std::size_t at = slots_[id].heap_pos[H];
-    slots_[id].heap_pos[H] = kNoPos;
+    const std::size_t at = keys_[id].heap_pos[H];
+    keys_[id].heap_pos[H] = kNoPos;
     const std::uint32_t last = h.back();
     h.pop_back();
     if (last != id)
@@ -150,7 +148,7 @@ DimensionEngine::readyInsert(std::uint32_t id)
     heapPlace<kReadyHeap>(heaps_[kReadyHeap].size() - 1, id);
     heaps_[kAgeHeap].push_back(id);
     heapPlace<kAgeHeap>(heaps_[kAgeHeap].size() - 1, id);
-    ++tier_ready_[static_cast<std::size_t>(slots_[id].key.tier)];
+    ++tier_ready_[static_cast<std::size_t>(keys_[id].key.tier)];
 }
 
 void
@@ -158,7 +156,7 @@ DimensionEngine::readyErase(std::uint32_t id)
 {
     heapErase<kReadyHeap>(id);
     heapErase<kAgeHeap>(id);
-    --tier_ready_[static_cast<std::size_t>(slots_[id].key.tier)];
+    --tier_ready_[static_cast<std::size_t>(keys_[id].key.tier)];
 }
 
 void
@@ -324,6 +322,7 @@ DimensionEngine::enqueue(ChunkOp op)
         THEMIS_ASSERT(slots_.size() < kNoPos, "slot pool exhausted");
         id = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
+        keys_.emplace_back();
     } else {
         free_head_ = slots_[id].link;
     }
@@ -390,7 +389,7 @@ DimensionEngine::tryStart()
     if (ready.empty())
         return;
     const auto head_tier =
-        static_cast<std::size_t>(slots_[ready.front()].key.tier);
+        static_cast<std::size_t>(keys_[ready.front()].key.tier);
     if (!enforced_.empty() ||
         bypass_streak_ >= admission_.max_priority_bypass ||
         tier_ready_[head_tier] != ready.size()) {

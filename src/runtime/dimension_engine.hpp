@@ -362,8 +362,9 @@ class DimensionEngine
     std::size_t
     poolCapacity() const
     {
-        return slots_.capacity() + heaps_[0].capacity() +
-               heaps_[1].capacity() + active_.capacity();
+        return slots_.capacity() + keys_.capacity() +
+               heaps_[0].capacity() + heaps_[1].capacity() +
+               active_.capacity();
     }
 
     /**
@@ -377,9 +378,9 @@ class DimensionEngine
     /** Ready-heap key; ordering implements tier + policy tie-breaks. */
     struct ReadyKey
     {
-        int tier = 0;
         TimeNs service_time = 0.0;
         std::uint64_t arrival_seq = 0;
+        int tier = 0;
         int chunk_id = 0;
     };
 
@@ -406,19 +407,25 @@ class DimensionEngine
     };
 
     static constexpr std::uint32_t kNoPos = 0xffffffffu;
-    /** Heap indexes into heaps_ / Slot::heap_pos. */
+    /** Heap indexes into heaps_ / SlotKey::heap_pos. */
     static constexpr int kReadyHeap = 0;
     static constexpr int kAgeHeap = 1;
 
     enum class SlotState : std::uint8_t { Free, Queued, Active, Backoff };
 
-    /** One op from enqueue to finish; see file comment. */
-    struct Slot
+    /** A slot's heap side, kept apart from the op in one dense array
+     *  so sifts touch 32 bytes per slot. */
+    struct SlotKey
     {
         /** Set each time the op (re)enters the queue. */
         ReadyKey key;
         /** Position in each heap; kNoPos while out of it. */
         std::uint32_t heap_pos[2] = {kNoPos, kNoPos};
+    };
+
+    /** One op from enqueue to finish; see file comment. */
+    struct Slot
+    {
         /** Position in active_ while active; next free slot while
          *  free. */
         std::uint32_t link = kNoPos;
@@ -489,6 +496,7 @@ class DimensionEngine
     sim::SharedChannel channel_;
 
     std::vector<Slot> slots_;
+    std::vector<SlotKey> keys_; ///< parallel to slots_
     std::uint32_t free_head_ = kNoPos;
     /** Ready heaps over slot ids: kReadyHeap by ReadyCompare,
      *  kAgeHeap by arrival_seq. */
