@@ -452,7 +452,7 @@ class DimensionEngine
 
     /** Slot of @p exec_id, which must be live and in @p state. */
     std::uint32_t liveSlot(std::uint64_t exec_id, SlotState state) const;
-    /** Give @p id a fresh arrival and enter it in both ready heaps. */
+    /** Mark @p id queued under a fresh arrival number and key. */
     void queueSlot(std::uint32_t id);
     void readyInsert(std::uint32_t id);
     void readyErase(std::uint32_t id);
