@@ -134,7 +134,6 @@ DimensionEngine::heapErase(std::uint32_t id)
 {
     std::vector<std::uint32_t>& h = heaps_[H];
     const std::size_t at = keys_[id].heap_pos[H];
-    keys_[id].heap_pos[H] = kNoPos;
     const std::uint32_t last = h.back();
     h.pop_back();
     if (last != id)

@@ -419,8 +419,8 @@ class DimensionEngine
     {
         /** Set each time the op (re)enters the queue. */
         ReadyKey key;
-        /** Position in each heap; kNoPos while out of it. */
-        std::uint32_t heap_pos[2] = {kNoPos, kNoPos};
+        /** Position in each heap while ready. */
+        std::uint32_t heap_pos[2] = {0, 0};
     };
 
     /** One op from enqueue to finish; see file comment. */
