@@ -62,18 +62,6 @@ DimensionEngine::beginIterationEpoch()
     channel_.epochReset();
 }
 
-std::uint32_t
-DimensionEngine::liveSlot(std::uint64_t exec_id, SlotState state) const
-{
-    const auto id = static_cast<std::uint32_t>(exec_id);
-    THEMIS_ASSERT(id < slots_.size() &&
-                      slots_[id].gen == (exec_id >> 32) &&
-                      slots_[id].state == state,
-                  "stale or unknown exec id " << exec_id << " on dim "
-                                              << global_dim_);
-    return id;
-}
-
 void
 DimensionEngine::queueSlot(std::uint32_t id)
 {

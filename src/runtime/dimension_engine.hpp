@@ -451,7 +451,17 @@ class DimensionEngine
     }
 
     /** Slot of @p exec_id, which must be live and in @p state. */
-    std::uint32_t liveSlot(std::uint64_t exec_id, SlotState state) const;
+    std::uint32_t
+    liveSlot(std::uint64_t exec_id, SlotState state) const
+    {
+        const auto id = static_cast<std::uint32_t>(exec_id);
+        THEMIS_ASSERT(id < slots_.size() &&
+                          slots_[id].gen == (exec_id >> 32) &&
+                          slots_[id].state == state,
+                      "stale or unknown exec id " << exec_id << " on dim "
+                                                  << global_dim_);
+        return id;
+    }
     /** Mark @p id queued under a fresh arrival number and key. */
     void queueSlot(std::uint32_t id);
     void readyInsert(std::uint32_t id);
