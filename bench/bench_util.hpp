@@ -1,24 +1,30 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction harnesses: running
- * single collectives under the Table 3 scheduler configurations and
- * emitting aligned tables plus CSV files under bench_results/.
+ * single collectives under the Table 3 scheduler configurations,
+ * emitting aligned tables plus CSV files under bench_results/, and
+ * writing the gated BENCH_*.json result files (BenchReport).
  */
 
 #ifndef THEMIS_BENCH_BENCH_UTIL_HPP
 #define THEMIS_BENCH_BENCH_UTIL_HPP
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "core/ideal_estimator.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "sim/sweep_runner.hpp"
 #include "stats/csv_writer.hpp"
 #include "stats/summary.hpp"
+#include "stats/telemetry/json_writer.hpp"
+#include "stats/telemetry/run_report.hpp"
 #include "topology/presets.hpp"
 
 namespace themis::bench {
@@ -132,6 +138,15 @@ microbenchSizes()
             600.0e6, 700.0e6, 800.0e6, 900.0e6, 1.0e9};
 }
 
+/** Median of @p v (non-empty). */
+inline double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 /** Ensure bench_results/ exists and return the path for @p filename. */
 inline std::string
 resultPath(const std::string& filename)
@@ -148,6 +163,82 @@ csvPath(const std::string& name)
 {
     return resultPath(name + ".csv");
 }
+
+using stats::telemetry::JsonWriter;
+
+/**
+ * One bench's result file: a themis.run_report/1 in mode "bench",
+ * which tools/bench_trend.py reads without knowing the bench.
+ *
+ *  - "numbers": every scalar, keyed by its trend label (historized);
+ *  - "gates": {"delta": [labels diffed against the previous run],
+ *              "floor": {label: minimum}}, declared by delta()/floor();
+ *  - further sections: row lists and records, built with JsonWriter.
+ */
+class BenchReport
+{
+public:
+    explicit BenchReport(const std::string& bench) : report_("bench")
+    {
+        report_.setInfo("bench", bench);
+    }
+
+    void info(const std::string& key, const std::string& value)
+    {
+        report_.setInfo(key, value);
+    }
+
+    /** Historized scalar, not gated. */
+    void number(const std::string& label, double value)
+    {
+        report_.setNumber(label, value);
+    }
+
+    /** Throughput scalar gated against the previous run's value. */
+    void delta(const std::string& label, double value)
+    {
+        number(label, value);
+        delta_.push_back(label);
+    }
+
+    /** Scalar that must reach @p min: asserted here, checked again by
+     *  the trend gate. */
+    void floor(const std::string& label, double value, double min)
+    {
+        number(label, value);
+        floors_.emplace_back(label, min);
+        THEMIS_ASSERT(value >= min, label << " = " << value
+                                          << " is under its floor "
+                                          << min);
+    }
+
+    void section(const std::string& name, const std::string& json)
+    {
+        report_.addSection(name, json);
+    }
+
+    /** Declare the gates and write bench_results/@p filename. */
+    void write(const std::string& filename)
+    {
+        JsonWriter w;
+        w.beginObject().key("delta").beginArray();
+        for (const std::string& label : delta_)
+            w.value(label);
+        w.endArray().key("floor").beginObject();
+        for (const auto& [label, min] : floors_)
+            w.key(label).value(min);
+        w.endObject().endObject();
+        report_.addSection("gates", w.str());
+        const std::string path = resultPath(filename);
+        report_.writeFile(path);
+        std::printf("wrote %s\n", path.c_str());
+    }
+
+private:
+    stats::telemetry::RunReport report_;
+    std::vector<std::string> delta_;
+    std::vector<std::pair<std::string, double>> floors_;
+};
 
 /** Print a standard bench header. */
 inline void

@@ -17,8 +17,7 @@
  *     3 methods = 72 cells) at 20 iterations per cell, fanned across
  *     the sweep harness with a shared plan cache.
  *
- * Writes bench_results/BENCH_convergence.json (schema documented in
- * the README).
+ * Writes bench_results/BENCH_convergence.json (README *Bench output*).
  */
 
 #include <cstdio>
@@ -188,7 +187,7 @@ main()
     const double grid_cells_per_sec =
         static_cast<double>(cells) / (grid_wall_ms * 1e-3);
 
-    long grid_simulated = 0, grid_replayed = 0, grid_steady = 0;
+    int grid_simulated = 0, grid_replayed = 0, grid_steady = 0;
     for (const auto& r : grid_results) {
         grid_simulated += r.simulated_iterations;
         grid_replayed += r.replayed_iterations;
@@ -199,49 +198,43 @@ main()
                 "threads: %.1f ms (%.1f cells/sec)\n",
                 cells, kGridIterations, sweep_opts.threads,
                 grid_wall_ms, grid_cells_per_sec);
-    std::printf("  %ld iterations simulated, %ld replayed "
-                "(steady state in %ld/%zu cells)\n",
+    std::printf("  %d iterations simulated, %d replayed "
+                "(steady state in %d/%zu cells)\n",
                 grid_simulated, grid_replayed, grid_steady, cells);
 
-    // ---- JSON ------------------------------------------------------
-    char buf[1024];
-    std::string json = "{\n  \"bench\": \"convergence_run\",\n";
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"transformer_1t\": {\"topology\": \"%s\", \"iterations\": "
-        "%d,\n    \"full_wall_ms\": %.1f, \"replay_wall_ms\": %.1f, "
-        "\"speedup\": %.2f,\n    \"simulated_iterations\": %d, "
-        "\"replayed_iterations\": %d, \"steady_at\": %d,\n    "
-        "\"bit_identical\": %s},\n",
-        headline_topo.name().c_str(), kIterations, full.wall_ms,
-        replay.wall_ms, speedup, replay.report.simulated_iterations,
-        replay.report.replayed_iterations, replay.report.steady_at,
-        identical ? "true" : "false");
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"exactness\": {\"workload\": \"ResNet-152\", "
-        "\"iterations\": 10, \"steady_at\": %d,\n    \"passed\": true, "
-        "\"wall_ms\": %.1f},\n",
-        exact_steady_at, exact_wall_ms);
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"grid\": {\"cells\": %zu, \"iterations_per_cell\": %d, "
-        "\"threads\": %d,\n    \"wall_ms\": %.1f, \"cells_per_sec\": "
-        "%.2f, \"iterations_simulated\": %ld,\n    "
-        "\"iterations_replayed\": %ld, \"steady_cells\": %ld}\n}\n",
-        cells, kGridIterations, sweep_opts.threads, grid_wall_ms,
-        grid_cells_per_sec, grid_simulated, grid_replayed,
-        grid_steady);
-    json += buf;
-
-    const std::string path = bench::resultPath("BENCH_convergence.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s (replay speedup: %.1fx)\n", path.c_str(),
-                speedup);
+    // ---- report ----------------------------------------------------
+    bench::BenchReport report("convergence_run");
+    report.delta("convergence/grid_cells_per_sec", grid_cells_per_sec);
+    // A ratio of two wall clocks with a tens-of-ms denominator:
+    // historized, too noisy to gate.
+    report.number("convergence/replay_speedup", speedup);
+    bench::JsonWriter t, e, g;
+    t.beginObject();
+    t.key("topology").value(headline_topo.name());
+    t.key("iterations").value(kIterations);
+    t.key("full_wall_ms").value(full.wall_ms);
+    t.key("replay_wall_ms").value(replay.wall_ms);
+    t.key("simulated_iterations").value(replay.report.simulated_iterations);
+    t.key("replayed_iterations").value(replay.report.replayed_iterations);
+    t.key("steady_at").value(replay.report.steady_at);
+    t.key("bit_identical").value(identical);
+    report.section("transformer_1t", t.endObject().str());
+    e.beginObject();
+    e.key("workload").value("ResNet-152");
+    e.key("iterations").value(10);
+    e.key("steady_at").value(exact_steady_at);
+    e.key("passed").value(true);
+    e.key("wall_ms").value(exact_wall_ms);
+    report.section("exactness", e.endObject().str());
+    g.beginObject();
+    g.key("cells").value(cells);
+    g.key("iterations_per_cell").value(kGridIterations);
+    g.key("threads").value(sweep_opts.threads);
+    g.key("wall_ms").value(grid_wall_ms);
+    g.key("iterations_simulated").value(grid_simulated);
+    g.key("iterations_replayed").value(grid_replayed);
+    g.key("steady_cells").value(grid_steady);
+    report.section("grid", g.endObject().str());
+    report.write("BENCH_convergence.json");
     return 0;
 }

@@ -190,19 +190,19 @@ runEngineWorkload(int n)
     return best;
 }
 
+/** The "channel" / "event_queue" row of @p m. */
 void
-appendJson(std::string& out, const Measurement& m, bool last)
+writeRow(bench::JsonWriter& w, const Measurement& m)
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"impl\": \"%s\", \"transfers\": %d, \"events\": %zu, "
-        "\"wall_ns\": %.0f, \"ns_per_event\": %.1f, "
-        "\"events_per_sec\": %.0f, \"peak_active\": %zu}%s\n",
-        m.impl.c_str(), m.transfers, m.events, m.wall_ns,
-        m.ns_per_event, m.events_per_sec, m.peak_active,
-        last ? "" : ",");
-    out += buf;
+    w.beginObject();
+    w.key("impl").value(m.impl);
+    w.key("transfers").value(m.transfers);
+    w.key("events").value(m.events);
+    w.key("wall_ns").value(m.wall_ns);
+    w.key("ns_per_event").value(m.ns_per_event);
+    w.key("events_per_sec").value(m.events_per_sec);
+    w.key("peak_active").value(m.peak_active);
+    w.endObject();
 }
 
 } // namespace
@@ -244,31 +244,32 @@ main()
                     m.ops, m.ops_per_sec, m.ns_per_op, m.events);
     std::printf("\n");
 
-    std::string json = "{\n  \"bench\": \"core_microbench\",\n";
-    json += "  \"channel\": [\n";
-    for (std::size_t i = 0; i < gps.size(); ++i)
-        appendJson(json, gps[i], i + 1 == gps.size());
-    json += "  ],\n  \"event_queue\": [\n";
-    appendJson(json, queue_run, true);
-    json += "  ],\n  \"engine\": [\n";
-    for (std::size_t i = 0; i < engine.size(); ++i) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"impl\": \"scf\", \"ops\": %d, "
-                      "\"events\": %zu, \"wall_ns\": %.0f, "
-                      "\"ns_per_op\": %.1f, \"ops_per_sec\": %.0f}%s\n",
-                      engine[i].ops, engine[i].events, engine[i].wall_ns,
-                      engine[i].ns_per_op, engine[i].ops_per_sec,
-                      i + 1 == engine.size() ? "" : ",");
-        json += buf;
+    bench::BenchReport report("core_microbench");
+    bench::JsonWriter channel, queue_rows, engine_rows;
+    channel.beginArray();
+    for (const Measurement& m : gps) {
+        report.delta("channel/gps/" + std::to_string(m.transfers),
+                     m.events_per_sec);
+        writeRow(channel, m);
     }
-    json += "  ]\n}\n";
-
-    const std::string path = bench::resultPath("BENCH_core.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    report.section("channel", channel.endArray().str());
+    report.delta("event_queue/" + std::to_string(queue_run.transfers),
+                 queue_run.events_per_sec);
+    writeRow(queue_rows.beginArray(), queue_run);
+    report.section("event_queue", queue_rows.endArray().str());
+    engine_rows.beginArray();
+    for (const EngineMeasurement& m : engine) {
+        report.delta("engine/scf/" + std::to_string(m.ops), m.ops_per_sec);
+        engine_rows.beginObject();
+        engine_rows.key("impl").value("scf");
+        engine_rows.key("ops").value(m.ops);
+        engine_rows.key("events").value(m.events);
+        engine_rows.key("wall_ns").value(m.wall_ns);
+        engine_rows.key("ns_per_op").value(m.ns_per_op);
+        engine_rows.key("ops_per_sec").value(m.ops_per_sec);
+        engine_rows.endObject();
+    }
+    report.section("engine", engine_rows.endArray().str());
+    report.write("BENCH_core.json");
     return 0;
 }

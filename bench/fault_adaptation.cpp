@@ -23,7 +23,7 @@
  *     the clean plan — that is the point). Aggregate simulator
  *     throughput (events/sec) across the grid is the trend metric.
  *
- * Writes bench_results/BENCH_adaptation.json (schema in the README).
+ * Writes bench_results/BENCH_adaptation.json (README *Bench output*).
  */
 
 #include <cmath>
@@ -116,10 +116,8 @@ main()
     const double win = static_makespan / adaptive_makespan;
     THEMIS_ASSERT(adaptive.replans > 0,
                   "the straggler never triggered a re-plan");
-    THEMIS_ASSERT(win >= kWinFloor,
-                  "adaptive re-planning won only "
-                      << win << "x over the stale static plan (floor "
-                      << kWinFloor << "x)");
+    bench::BenchReport report("fault_adaptation");
+    report.floor("adaptation/win", win, kWinFloor);
     std::printf(
         "stale-plan gap: DLRM x%d iterations, permanent 4x dim0 "
         "straggler\n  static plan : %.1f ms makespan\n  adaptive    : "
@@ -223,33 +221,16 @@ main()
                 "events/sec), straggler plan byte-conserved\n",
                 total_events, total_wall_ns / 1e6, events_per_sec);
 
-    // ---- JSON ------------------------------------------------------
-    char buf[512];
-    std::string json = "{\n  \"bench\": \"fault_adaptation\",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"faultfree_bit_identical\": %s,\n",
-                  faultfree_identical ? "true" : "false");
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"static_makespan_ns\": %.0f,\n"
-        "  \"adaptive_makespan_ns\": %.0f,\n"
-        "  \"win\": %.3f,\n  \"adaptive_win_floor\": %.2f,\n"
-        "  \"replans\": %llu,\n",
-        static_makespan, adaptive_makespan, win, kWinFloor,
-        static_cast<unsigned long long>(adaptive.replans));
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"bytes_conserved\": %s,\n"
-                  "  \"events_per_sec\": %.0f\n}\n",
-                  bytes_conserved ? "true" : "false", events_per_sec);
-    json += buf;
-
-    const std::string path = bench::resultPath("BENCH_adaptation.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    // ---- report ----------------------------------------------------
+    report.delta("adaptation/events_per_sec", events_per_sec);
+    // Asserted above; historized so a silent change shows.
+    report.number("adaptation/faultfree_bit_identical",
+                  faultfree_identical);
+    report.number("adaptation/bytes_conserved", bytes_conserved);
+    report.number("adaptation/static_makespan_ns", static_makespan);
+    report.number("adaptation/adaptive_makespan_ns", adaptive_makespan);
+    report.number("adaptation/replans",
+                  static_cast<double>(adaptive.replans));
+    report.write("BENCH_adaptation.json");
     return 0;
 }

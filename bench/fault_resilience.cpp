@@ -23,7 +23,7 @@
  *     attempts. Aggregate simulator throughput (events/sec) across
  *     the grid is the per-PR trend metric.
  *
- * Writes bench_results/BENCH_fault.json (schema in the README).
+ * Writes bench_results/BENCH_fault.json (README *Bench output*).
  */
 
 #include <cmath>
@@ -241,45 +241,33 @@ main()
                 "all scenarios byte-conserved\n",
                 total_events, total_wall_ns / 1e6, events_per_sec);
 
-    // ---- JSON ------------------------------------------------------
-    char buf[512];
-    std::string json = "{\n  \"bench\": \"fault_resilience\",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"faultfree_bit_identical\": %s,\n",
-                  faultfree_identical ? "true" : "false");
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"replay\": {\"iterations\": %d, \"simulated\": %d, "
-        "\"replayed\": %d,\n    \"full_wall_ms\": %.1f, "
-        "\"replay_wall_ms\": %.1f},\n  \"replay_bit_identical\": %s,\n",
-        kIterations, fast.simulated_iterations,
-        fast.replayed_iterations, full_wall_ms, replay_wall_ms,
-        replay_identical ? "true" : "false");
-    json += buf;
-    json += "  \"scenarios\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& sr = results[i];
-        std::snprintf(
-            buf, sizeof(buf),
-            "    {\"name\": \"%s\", \"events\": %zu, \"wall_ms\": "
-            "%.2f, \"retries\": %llu,\n     \"lost_bytes\": %.0f, "
-            "\"duration_ns\": %.0f}%s\n",
-            sr.name.c_str(), sr.events, sr.wall_ms,
-            static_cast<unsigned long long>(sr.retries), sr.lost_bytes,
-            sr.duration, i + 1 < results.size() ? "," : "");
-        json += buf;
+    // ---- report ----------------------------------------------------
+    bench::BenchReport report("fault_resilience");
+    report.delta("fault/events_per_sec", events_per_sec);
+    // Asserted above; historized so a silent change shows.
+    report.number("fault/bytes_conserved", true);
+    report.number("fault/faultfree_bit_identical", faultfree_identical);
+    report.number("fault/replay_bit_identical", replay_identical);
+    bench::JsonWriter r, sc;
+    r.beginObject();
+    r.key("iterations").value(kIterations);
+    r.key("simulated").value(fast.simulated_iterations);
+    r.key("replayed").value(fast.replayed_iterations);
+    r.key("full_wall_ms").value(full_wall_ms);
+    r.key("replay_wall_ms").value(replay_wall_ms);
+    report.section("replay", r.endObject().str());
+    sc.beginArray();
+    for (const auto& sr : results) {
+        sc.beginObject();
+        sc.key("name").value(sr.name);
+        sc.key("events").value(sr.events);
+        sc.key("wall_ms").value(sr.wall_ms);
+        sc.key("retries").value(sr.retries);
+        sc.key("lost_bytes").value(sr.lost_bytes);
+        sc.key("duration_ns").value(sr.duration);
+        sc.endObject();
     }
-    json += "  ],\n  \"bytes_conserved\": true,\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"events_per_sec\": %.0f\n}\n", events_per_sec);
-    json += buf;
-
-    const std::string path = bench::resultPath("BENCH_fault.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    report.section("scenarios", sc.endArray().str());
+    report.write("BENCH_fault.json");
     return 0;
 }

@@ -313,16 +313,17 @@ main()
     THEMIS_ASSERT(cycle_identical,
                   "period-k cycle replay diverged from full "
                   "simulation");
-    THEMIS_ASSERT(cycle_speedup >= kCycleSpeedupFloor,
-                  "cycle replay speedup "
-                      << cycle_speedup << "x under the floor "
-                      << kCycleSpeedupFloor << "x at " << kCycleRounds
-                      << " rounds");
+    bench::BenchReport report("multi_job_contention");
+    // A ratio of two wall clocks is too noisy for the delta gate, but
+    // a collapse under the floor must fail.
+    report.floor("cluster/replay_speedup", cycle_speedup,
+                 kCycleSpeedupFloor);
+    report.floor("cluster/replay_bit_identical", cycle_identical, 1.0);
 
     const double wall_ms = (bench::nowNs() - t0) / 1e6;
     const double cells_per_sec = total_cells / (wall_ms * 1e-3);
 
-    // ------------------------------------------------------------ JSON
+    // ---------------------------------------------------------- report
     stats::CsvWriter csv(bench::csvPath("multi_job_contention"));
     csv.writeRow({"experiment", "cell", "metric", "value"});
     for (std::size_t i = 0; i < conservation.size(); ++i)
@@ -345,73 +346,49 @@ main()
     csv.writeRow({"cycle_replay", "2:3", "rounds_replayed",
                   std::to_string(cycle_fast.epochs_replayed)});
 
-    std::string json = "{\n  \"bench\": \"multi_job_contention\",\n";
-    {
-        char buf[2048];
-        std::string jobs_json;
-        for (const auto& j : conservation.front().report.jobs) {
-            std::snprintf(buf, sizeof(buf),
-                          "%s\n      {\"job\": %d, \"bytes\": %.0f}",
-                          jobs_json.empty() ? "" : ",", j.job,
-                          j.progressed);
-            jobs_json += buf;
-        }
-        std::snprintf(
-            buf, sizeof(buf),
-            "  \"conservation\": {\n    \"cells\": %zu,\n"
-            "    \"bytes_conserved_per_job\": %s,\n"
-            "    \"jobs\": [%s\n    ]\n  },\n"
-            "  \"deadline\": {\n    \"uniform_hit_rate\": %.4f,\n"
-            "    \"tiered_hit_rate\": %.4f,\n"
-            "    \"improved\": %s,\n"
-            "    \"total_bytes_uniform\": %.0f,\n"
-            "    \"total_bytes_tiered\": %.0f,\n"
-            "    \"bytes_unchanged\": %s\n  },\n"
-            "  \"offset_search\": {\n"
-            "    \"zero_metric_ns\": %.1f,\n"
-            "    \"best_metric_ns\": %.1f,\n"
-            "    \"gain\": %.4f,\n"
-            "    \"base_period_ns\": %.1f,\n"
-            "    \"improved\": %s\n  },\n",
-            conservation.size(), bytes_conserved ? "true" : "false",
-            jobs_json.c_str(), uni_hit, tier_hit,
-            deadline_improved ? "true" : "false", uni.total_bytes,
-            tier.total_bytes,
-            deadline_bytes_unchanged ? "true" : "false",
-            search.zero_metric, search.best.metric, offset_gain,
-            search.base_period, offset_improved ? "true" : "false");
-        json += buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "  \"cycle_replay\": {\n"
-            "    \"rounds\": %d,\n"
-            "    \"hyper_period\": %d,\n"
-            "    \"cycle_length\": %d,\n"
-            "    \"rounds_simulated\": %d,\n"
-            "    \"rounds_replayed\": %d,\n"
-            "    \"full_wall_ms\": %.1f,\n"
-            "    \"replay_wall_ms\": %.1f,\n"
-            "    \"speedup\": %.2f,\n"
-            "    \"bit_identical\": %s\n  },\n"
-            "  \"cells\": %zu,\n  \"wall_ms\": %.1f,\n"
-            "  \"cells_per_sec\": %.1f\n}\n",
-            kCycleRounds, cycle_fast.hyper_period,
-            cycle_fast.cycle_length, cycle_fast.epochs_simulated,
-            cycle_fast.epochs_replayed, cycle_full_ms, cycle_fast_ms,
-            cycle_speedup, cycle_identical ? "true" : "false",
-            total_cells, wall_ms, cells_per_sec);
-        json += buf;
+    report.delta("cluster/cells_per_sec", cells_per_sec);
+    // Simulated-time outcomes, asserted above: historized only.
+    report.number("cluster/bytes_conserved_per_job", bytes_conserved);
+    report.number("cluster/deadline_hit_rate_uniform", uni_hit);
+    report.number("cluster/deadline_hit_rate_tiered", tier_hit);
+    report.number("cluster/offset_search_gain", offset_gain);
+    report.number("cluster/replay_rounds", cycle_fast.epochs_replayed);
+    bench::JsonWriter c, d, o, y, g;
+    c.beginObject().key("cells").value(conservation.size());
+    c.key("jobs").beginArray();
+    for (const auto& j : conservation.front().report.jobs) {
+        c.beginObject().key("job").value(j.job);
+        c.key("bytes").value(j.progressed).endObject();
     }
-    const std::string path = bench::resultPath("BENCH_cluster.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
+    report.section("conservation", c.endArray().endObject().str());
+    d.beginObject();
+    d.key("improved").value(deadline_improved);
+    d.key("total_bytes_uniform").value(uni.total_bytes);
+    d.key("total_bytes_tiered").value(tier.total_bytes);
+    d.key("bytes_unchanged").value(deadline_bytes_unchanged);
+    report.section("deadline", d.endObject().str());
+    o.beginObject();
+    o.key("zero_metric_ns").value(search.zero_metric);
+    o.key("best_metric_ns").value(search.best.metric);
+    o.key("base_period_ns").value(search.base_period);
+    o.key("improved").value(offset_improved);
+    report.section("offset_search", o.endObject().str());
+    y.beginObject();
+    y.key("rounds").value(kCycleRounds);
+    y.key("hyper_period").value(cycle_fast.hyper_period);
+    y.key("cycle_length").value(cycle_fast.cycle_length);
+    y.key("rounds_simulated").value(cycle_fast.epochs_simulated);
+    y.key("full_wall_ms").value(cycle_full_ms);
+    y.key("replay_wall_ms").value(cycle_fast_ms);
+    report.section("cycle_replay", y.endObject().str());
+    g.beginObject().key("cells").value(total_cells);
+    report.section("grid", g.key("wall_ms").value(wall_ms).endObject().str());
     std::printf("%zu cells in %.1f ms (%.1f cells/sec); per-job bytes "
                 "conserved: %s; deadline hit rate %.0f%% -> %.0f%%; "
-                "offset-search gain %.2fx\nwrote %s\n",
+                "offset-search gain %.2fx\n",
                 total_cells, wall_ms, cells_per_sec,
                 bytes_conserved ? "yes" : "NO", 100.0 * uni_hit,
-                100.0 * tier_hit, offset_gain, path.c_str());
+                100.0 * tier_hit, offset_gain);
+    report.write("BENCH_cluster.json");
     return 0;
 }

@@ -168,9 +168,8 @@ main()
     bool bytes_conserved = true;
     bool hi_improves = true;
     double hi_gain_max = 0.0;
-    std::string json =
-        "{\n  \"bench\": \"priority_contention\",\n  \"results\": [\n";
-    bool first_row = true;
+    bench::JsonWriter rows;
+    rows.beginArray();
     for (std::size_t t = 0; t < topologies.size(); ++t) {
         const Topology& topo = topologies[t];
         const CellResult& solo_hi = results[t * per_topo];
@@ -218,18 +217,15 @@ main()
             hi_gain_max = std::max(hi_gain_max,
                                    base.hi_mean / c.hi_mean);
 
-            char buf[512];
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s    {\"topology\": \"%s\", \"ratio\": %.0f, "
-                "\"hi_mean_ns\": %.1f, \"hi_slowdown\": %.4f, "
-                "\"lo_mean_ns\": %.1f, \"lo_slowdown\": %.4f, "
-                "\"total_bytes\": %.0f}",
-                first_row ? "" : ",\n", topo.name().c_str(), ratios[r],
-                c.hi_mean, hi_slow, c.lo_mean, lo_slow,
-                c.total_bytes);
-            json += buf;
-            first_row = false;
+            rows.beginObject();
+            rows.key("topology").value(topo.name());
+            rows.key("ratio").value(ratios[r]);
+            rows.key("hi_mean_ns").value(c.hi_mean);
+            rows.key("hi_slowdown").value(hi_slow);
+            rows.key("lo_mean_ns").value(c.lo_mean);
+            rows.key("lo_slowdown").value(lo_slow);
+            rows.key("total_bytes").value(c.total_bytes);
+            rows.endObject();
         }
         std::printf("%s  solo: HI mean %s, LO mean %s\n\n",
                     table.render().c_str(),
@@ -242,22 +238,19 @@ main()
     THEMIS_ASSERT(hi_improves,
                   "priority weights failed to help the urgent tenant");
 
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\n  ],\n  \"cells\": %zu,\n  \"wall_ms\": %.1f,\n"
-                  "  \"bytes_conserved\": %s,\n"
-                  "  \"hi_priority_max_gain\": %.3f\n}\n",
-                  cells, wall_ms, bytes_conserved ? "true" : "false",
-                  hi_gain_max);
-    json += buf;
-    const std::string path = bench::resultPath("BENCH_priority.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
     std::printf("%zu cells in %.1f ms; urgent-tenant max gain %.2fx; "
-                "bytes conserved: %s\nwrote %s\n",
+                "bytes conserved: %s\n",
                 cells, wall_ms, hi_gain_max,
-                bytes_conserved ? "yes" : "NO", path.c_str());
+                bytes_conserved ? "yes" : "NO");
+    // A simulated-time study whose invariants are asserted above:
+    // historized, not gated.
+    bench::BenchReport report("priority_contention");
+    report.number("priority/hi_priority_max_gain", hi_gain_max);
+    report.number("priority/bytes_conserved", bytes_conserved);
+    report.section("results", rows.endArray().str());
+    bench::JsonWriter g;
+    g.beginObject().key("cells").value(cells);
+    report.section("grid", g.key("wall_ms").value(wall_ms).endObject().str());
+    report.write("BENCH_priority.json");
     return 0;
 }

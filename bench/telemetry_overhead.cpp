@@ -21,8 +21,8 @@
  *     for at least kMinSampleNs — so slow host drift cancels within a
  *     pair and a single preempted sample cannot decide the verdict.
  *
- * Writes bench_results/BENCH_telemetry.json; tools/bench_trend.py
- * historizes the overhead ratio.
+ * Writes bench_results/BENCH_telemetry.json, where the overhead
+ * ratio is floor-gated (README *Bench output*).
  */
 
 #include <algorithm>
@@ -113,14 +113,6 @@ sampleCell(const Topology& topo, const Cell& cell, bool instrumented)
     return s;
 }
 
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 } // namespace
 
 int
@@ -192,7 +184,8 @@ main()
         on_wall_total += pair[1].wall_ns;
     }
 
-    std::string cells_json;
+    bench::JsonWriter cells_json;
+    cells_json.beginArray();
     for (std::size_t c = 0; c < cells.size(); ++c) {
         // Mean wall per simulated op, scaled to one run of the cell.
         const double ops = static_cast<double>(armed[c].report.ops);
@@ -208,53 +201,33 @@ main()
                     static_cast<unsigned long long>(
                         armed[c].report.steady_fingerprint));
 
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s    {\"cell\": \"%s\", \"bare_wall_ns\": %.0f, "
-            "\"armed_wall_ns\": %.0f, \"bit_identical\": true}",
-            cells_json.empty() ? "" : ",\n", cells[c].name.c_str(),
-            off_wall, on_wall);
-        cells_json += buf;
+        cells_json.beginObject();
+        cells_json.key("cell").value(cells[c].name);
+        cells_json.key("bare_wall_ns").value(off_wall);
+        cells_json.key("armed_wall_ns").value(on_wall);
+        cells_json.key("bit_identical").value(true);
+        cells_json.endObject();
     }
 
     const double off_rate = off_ops_total / (off_wall_total * 1e-9);
     const double on_rate = on_ops_total / (on_wall_total * 1e-9);
-    const double overhead_ratio = median(ratios);
+    const double overhead_ratio = bench::median(ratios);
     const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
-    THEMIS_ASSERT(overhead_ratio >= kOverheadFloor,
-                  "telemetry costs too much: armed runs at "
-                      << overhead_ratio << "x of bare throughput "
-                      << "(median of " << kPairs << " pairs; floor "
-                      << kOverheadFloor << "x)");
     std::printf("\naggregate: %.0f ops/sec bare, %.0f ops/sec armed; "
                 "median pair ratio %.3fx over %d pairs (range "
                 "%.3f-%.3f; floor %.2fx, asserted); all cells "
-                "bit-identical\n",
+                "bit-identical\n\n",
                 off_rate, on_rate, overhead_ratio, kPairs, *lo, *hi,
                 kOverheadFloor);
 
-    // ---- JSON ------------------------------------------------------
-    char buf[384];
-    std::string json = "{\n  \"bench\": \"telemetry_overhead\",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"bit_identical\": %s,\n"
-                  "  \"events_per_sec_bare\": %.0f,\n"
-                  "  \"events_per_sec_armed\": %.0f,\n"
-                  "  \"overhead_ratio\": %.4f,\n"
-                  "  \"overhead_floor\": %.2f,\n"
-                  "  \"cells\": [\n",
-                  all_identical ? "true" : "false", off_rate, on_rate,
-                  overhead_ratio, kOverheadFloor);
-    json += buf;
-    json += cells_json;
-    json += "\n  ]\n}\n";
-
-    const std::string path = bench::resultPath("BENCH_telemetry.json");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot write " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    bench::BenchReport report("telemetry_overhead");
+    report.floor("telemetry/overhead_ratio", overhead_ratio,
+                 kOverheadFloor);
+    // The bare cells run the same fast path the other benches gate.
+    report.delta("telemetry/events_per_sec_bare", off_rate);
+    report.number("telemetry/events_per_sec_armed", on_rate);
+    report.number("telemetry/bit_identical", all_identical);
+    report.section("cells", cells_json.endArray().str());
+    report.write("BENCH_telemetry.json");
     return 0;
 }

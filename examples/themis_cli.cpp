@@ -20,7 +20,9 @@
  * Every flag is one row of kFlags: its value parser, its help text
  * and the modes that read it. usage() prints that table (README.md
  * carries the same flag x mode matrix), and a flag given to a mode
- * that does not read it is a ConfigError instead of being dropped.
+ * that does not read it, or overridden there by another flag (--topo
+ * by --grid, --chunks by --sweep), is a ConfigError instead of being
+ * dropped.
  *
  * Example:
  *   themis_cli --topo "Ring:4:1000x2:20,SW:8:400:1700" --size 2.5e8
@@ -233,6 +235,9 @@ struct Flag
     /** Modes that read the flag. */
     unsigned modes;
     void (*apply)(Options& o, const std::string& value);
+    /** Within those modes, the flag that overrides this one (with
+     *  why), or nullptr while this one is read. */
+    const char* (*overridden)(const Options& o) = nullptr;
 };
 
 using V = const std::string&;
@@ -240,7 +245,11 @@ using V = const std::string&;
 const Flag kFlags[] = {
     {"--topo", "NAME|SPEC", "Table 2 preset or spec SW:16:200x6:700,... "
      "(topology/parse.hpp) [3D-SW_SW_SW_homo]", kOneRuntime | kPriority |
-     kGrid, [](Options& o, V v) { o.topo = v; }},
+     kGrid, [](Options& o, V v) { o.topo = v; },
+     [](const Options& o) -> const char* {
+         return o.mode == kGrid && !o.grid.empty()
+                    ? "--grid, which lists the topologies" : nullptr;
+     }},
     {"--type", "ar|rs|ag|a2a", "collective pattern [ar]",
      kSingle | kGrid | kServe, [](Options& o, V v) {
          o.type = toLower(v);
@@ -251,7 +260,11 @@ const Flag kFlags[] = {
      kServe | kPriority,
      [](Options& o, V v) { o.size = numberFlag(v, "--size", 0, true); }},
     {"--chunks", "N", "chunks per collective [64]", kSimulating,
-     [](Options& o, V v) { o.chunks = intFlag(v, "--chunks", 1); }},
+     [](Options& o, V v) { o.chunks = intFlag(v, "--chunks", 1); },
+     [](const Options& o) -> const char* {
+         return o.mode == kGrid && !o.sweep.empty()
+                    ? "--sweep, which lists the chunk counts" : nullptr;
+     }},
     {"--sched", "base|fifo|scf", "scheduler [scf]", kOneRuntime,
      [](Options& o, V v) {
          o.sched = toLower(v);
@@ -377,12 +390,17 @@ parseArgs(int argc, char** argv)
         given.push_back(&*it);
     }
     o.mode = pickMode(o);
-    for (const Flag* f : given)
+    for (const Flag* f : given) {
         if ((f->modes & o.mode) == 0)
             THEMIS_FATAL(f->name << " is not read by "
                                  << modeNames(o.mode)
                                  << " runs; it applies to "
                                  << modeNames(f->modes));
+        if (const char* by = f->overridden ? f->overridden(o) : nullptr)
+            THEMIS_FATAL(f->name << " is not read by "
+                                 << modeNames(o.mode) << " runs with "
+                                 << by);
+    }
     return o;
 }
 

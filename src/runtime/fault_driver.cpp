@@ -223,10 +223,14 @@ FaultDriver::armNext()
         return;
     // Relative (current-epoch) firing time; catchUp has applied
     // everything at or before now, so this is strictly in the future.
-    const TimeNs rel = events[next_].at - base_;
-    armed_ = queue_.schedule(rel, [this] {
+    const TimeNs at = events[next_].at;
+    const TimeNs rel = at - base_;
+    armed_ = queue_.schedule(rel, [this, at] {
         armed_ = 0;
-        catchUp(base_ + queue_.now());
+        // base_ + (at - base_) can round below at once base_ is
+        // nonzero; the timer must still apply the event it was armed
+        // for, or it would re-arm at the same instant forever.
+        catchUp(std::max(base_ + queue_.now(), at));
         armNext();
     });
 }

@@ -216,6 +216,9 @@ CASES = {
         run("--merge a.jsonl,b.jsonl --enforce"),
         run("--iterations 3 --jobs 2"),
     ], False),
+    "rej_grid_topo": ([run("--grid 2D-SW_SW --topo 4D-Ring_SW_SW_SW")],
+                      False),
+    "rej_sweep_chunks": ([run("--sweep 8,16 --chunks 32")], False),
     "usage": ([run("--bogus")], False),
     # --- strict numeric values ------------------------------------------
     "strict_flags": ([

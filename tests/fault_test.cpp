@@ -403,6 +403,35 @@ TEST(FaultConvergence, PermanentStragglerStillReachesSteadyState)
     EXPECT_TRUE(resultsBitIdentical(r, full));
 }
 
+TEST(FaultConvergence, EventArmedAfterAnEpochRebaseStillApplies)
+{
+    // From the second iteration epoch on, the armed firing time
+    // base + (at - base) can round below the event's own time; these
+    // two timelines hit that rounding and used to re-arm forever.
+    workload::ConvergenceOptions opts;
+    opts.iterations = 2;
+
+    FaultTimeline degrade;
+    degrade.addDegrade(0, 548538.20596636459, 354110.7109180569,
+                       0.45338324339819536);
+    FaultTimeline flaps;
+    for (TimeNs at : {548385.1073313239, 604041.44069975463,
+                      763605.04462826205, 956680.97017970507})
+        flaps.addFlap(2, at, 28270.225075356695);
+
+    const std::pair<const char*, const FaultTimeline*> cases[] = {
+        {"2D-SW_SW", &degrade}, {"3D-FC_Ring_SW", &flaps}};
+    for (const auto& [topo_name, tl] : cases) {
+        auto cfg = runtime::themisScfConfig();
+        cfg.faults = tl;
+        sim::EventQueue queue;
+        runtime::CommRuntime comm(queue, presets::byName(topo_name), cfg);
+        workload::TrainingLoop loop(comm, models::byName("DLRM"));
+        const auto r = runConverged(comm, loop, opts);
+        EXPECT_EQ(r.iterations, 2) << topo_name;
+    }
+}
+
 // ------------------------------------------------- cluster under faults
 
 TEST(FaultCluster, MultiJobRunSurvivesFaultsAndConserves)
