@@ -76,7 +76,6 @@ runCollective(sim::EventQueue& queue, const Topology& topo,
     req.chunks = chunks;
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     CollectiveRun out;
     out.time = comm.record(id).duration();
     out.weighted_util = comm.utilization().weightedUtilization();

@@ -160,7 +160,6 @@ main()
         const int id = comm.issue(req);
         const std::size_t events = queue.run();
         const double wall = bench::nowNs() - t0;
-        comm.finalizeStats();
         THEMIS_ASSERT(comm.record(id).done(),
                       "scenario '" << name
                                    << "' left the collective undone");

@@ -146,7 +146,6 @@ main()
         req.chunks = kChunks;
         const int id = comm.issue(req);
         queue.run();
-        comm.finalizeStats();
         clean_duration = comm.record(id).duration();
         for (int dd = 0; dd < topo.numDims(); ++dd) {
             auto& ch = comm.engine(dd).channel();
@@ -173,7 +172,6 @@ main()
         const int id = comm.issue(req);
         const std::size_t events = queue.run();
         const double wall = bench::nowNs() - t0;
-        comm.finalizeStats();
 
         // Every retry succeeded: the collective finished and nothing
         // is left on the queue.

@@ -41,7 +41,6 @@ measure(const Topology& topo, const std::string& workload)
                                   runtime::baselineConfig());
         workload::TrainingLoop loop(comm, models::byName(workload));
         const auto it = loop.runIteration();
-        comm.finalizeStats();
         p.compute = it.fwd_compute + it.bwd_compute;
         p.baseline_time = it.total;
         p.baseline_util = comm.utilization().weightedUtilization();

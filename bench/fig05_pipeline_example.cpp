@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "stats/telemetry/telemetry.hpp"
 #include "stats/trace_writer.hpp"
 
 using namespace themis;
@@ -49,17 +50,19 @@ main()
     for (const auto& setup : bench::table3Schedulers()) {
         // Run with a trace attached so the Fig 5 time diagram can be
         // inspected interactively (chrome://tracing).
-        sim::EventQueue queue;
-        runtime::CommRuntime comm(queue, topo, setup.config);
         stats::TraceWriter trace;
-        comm.attachTrace(trace);
+        stats::telemetry::Telemetry telem;
+        telem.trace = &trace;
+        runtime::RuntimeConfig cfg = setup.config;
+        cfg.telemetry = &telem;
+        sim::EventQueue queue;
+        runtime::CommRuntime comm(queue, topo, cfg);
         CollectiveRequest req;
         req.type = CollectiveType::AllReduce;
         req.size = 256.0e6;
         req.chunks = 4;
         const int id = comm.issue(req);
         queue.run();
-        comm.finalizeStats();
         const TimeNs time = comm.record(id).duration();
         const double util = comm.utilization().weightedUtilization();
         const auto per_dim = comm.utilization().perDimUtilization();

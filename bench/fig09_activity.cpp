@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 
@@ -19,28 +20,41 @@ void
 runAndPrint(const Topology& topo, const bench::SchedulerSetup& setup,
             stats::CsvWriter& csv)
 {
+    // Each dimension's presence intervals, straight from its engine
+    // (which only reports changes, so calls alternate on/off).
+    const auto dims = static_cast<std::size_t>(topo.numDims());
+    std::vector<stats::ActivitySpans> spans(dims);
+    std::vector<TimeNs> since(dims, 0.0);
     sim::EventQueue queue;
     runtime::CommRuntime comm(queue, topo, setup.config);
+    for (int d = 0; d < topo.numDims(); ++d)
+        comm.engine(d).setPresenceListener(
+            [&](int dim, bool present, TimeNs when) {
+                const auto k = static_cast<std::size_t>(dim);
+                if (present)
+                    since[k] = when;
+                else if (when > since[k])
+                    spans[k].emplace_back(since[k], when);
+            });
     CollectiveRequest req;
     req.type = CollectiveType::AllReduce;
     req.size = 1.0e9;
     req.chunks = 64;
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
 
     const TimeNs end = queue.now();
     const TimeNs bucket = 100.0 * kUs;
-    const auto profile = comm.activity().profile(bucket, end);
+    const auto rates = stats::activityRates(spans, bucket, end);
 
     std::printf("%s  (elapsed %s)\n", setup.name.c_str(),
                 fmtTime(end).c_str());
     // Render each dimension's activity as a sparkline over time.
     const char* glyphs[] = {" ", ".", ":", "-", "=", "#"};
-    for (std::size_t d = 0; d < profile.rate.size(); ++d) {
+    for (std::size_t d = 0; d < rates.size(); ++d) {
         std::string line;
-        for (std::size_t b = 0; b < profile.rate[d].size(); ++b) {
-            const double r = profile.rate[d][b];
+        for (std::size_t b = 0; b < rates[d].size(); ++b) {
+            const double r = rates[d][b];
             const int g = r <= 0.0 ? 0
                                    : 1 + static_cast<int>(r * 4.999);
             line += glyphs[g > 5 ? 5 : g];
@@ -49,11 +63,10 @@ runAndPrint(const Topology& topo, const bench::SchedulerSetup& setup,
                           fmtDouble(r, 4)});
         }
         double avg = 0.0;
-        for (double r : profile.rate[d])
+        for (double r : rates[d])
             avg += r;
-        avg /= profile.rate[d].empty() ? 1.0
-                                       : static_cast<double>(
-                                             profile.rate[d].size());
+        avg /= rates[d].empty() ? 1.0
+                                : static_cast<double>(rates[d].size());
         std::printf("  dim%zu |%s| avg %s\n", d + 1, line.c_str(),
                     fmtPercent(avg).c_str());
     }

@@ -97,7 +97,6 @@ runCell(sim::EventQueue& queue, const Topology& topo, double ratio,
         }
     }
     queue.run();
-    comm.finalizeStats();
 
     CellResult out;
     out.makespan = queue.now();

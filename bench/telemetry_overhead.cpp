@@ -15,11 +15,12 @@
  *     Telemetry is a pure observer; any divergence is a bug.
  *  2. Throughput: aggregate simulated-ops/sec with telemetry on stays
  *     within kOverheadFloor (>= 0.90x, i.e. <= 10% overhead) of the
- *     bare runs. The gate is the median of kPairs per-pair ratios: a
- *     pair is one bare and one armed sample over all cells, taken back
- *     to back in alternating order, and each sample repeats its cell
- *     for at least kMinSampleNs — so slow host drift cancels within a
- *     pair and a single preempted sample cannot decide the verdict.
+ *     bare runs. The gate is the median of kPairs per-pair ratios. In
+ *     a pair, each cell alternates bare and armed passes until both
+ *     have run for at least kMinSampleNs, and keeps each side's
+ *     fastest pass: taking turns puts both sides under the same host
+ *     state, and a preempted or down-clocked pass only ever reads
+ *     slower, so it cannot decide the verdict.
  *
  * Writes bench_results/BENCH_telemetry.json, where the overhead
  * ratio is floor-gated (README *Bench output*).
@@ -46,7 +47,7 @@ namespace {
 
 constexpr double kOverheadFloor = 0.90; // ops/sec on >= 0.90x off
 constexpr int kPairs = 15;
-constexpr double kMinSampleNs = 3.0e7; // 30 ms of repeats per sample
+constexpr double kMinSampleNs = 3.0e7; // 30 ms of passes per side
 
 struct Cell
 {
@@ -88,29 +89,30 @@ runCell(const Topology& topo, const Cell& cell, bool instrumented)
     const double t0 = bench::nowNs();
     r.report = workload::runConverged(comm, loop, opts);
     r.wall_ns = bench::nowNs() - t0;
-    comm.publishTelemetry();
+    comm.finalizeStats();
     r.trace_events = trace.eventCount();
     r.metrics = telem.metrics.size();
     return r;
 }
 
-/** Simulated ops and wall of @p cell repeated for >= kMinSampleNs. */
-struct Sample
+/**
+ * Fastest bare and armed pass walls of @p cell, [bare, armed]: passes
+ * alternate, armed first when @p armed_first, until each side has run
+ * for at least kMinSampleNs.
+ */
+std::array<double, 2>
+sampleCell(const Topology& topo, const Cell& cell, bool armed_first)
 {
-    double ops = 0.0;
-    double wall_ns = 0.0;
-};
-
-Sample
-sampleCell(const Topology& topo, const Cell& cell, bool instrumented)
-{
-    Sample s;
-    while (s.wall_ns < kMinSampleNs) {
-        const CellRun r = runCell(topo, cell, instrumented);
-        s.ops += static_cast<double>(r.report.ops);
-        s.wall_ns += r.wall_ns;
+    std::array<double, 2> best{}, spent{};
+    while (std::min(spent[0], spent[1]) < kMinSampleNs) {
+        for (int k = 0; k < 2; ++k) {
+            const int side = (k == 1) != armed_first ? 1 : 0;
+            const double ns = runCell(topo, cell, side == 1).wall_ns;
+            best[side] = spent[side] == 0.0 ? ns : std::min(best[side], ns);
+            spent[side] += ns;
+        }
     }
-    return s;
+    return best;
 }
 
 } // namespace
@@ -157,41 +159,36 @@ main()
         armed.push_back(std::move(on));
     }
 
-    // Interleaved pairs: bare then armed on even pairs, armed then
-    // bare on odd ones, every cell in each sample.
+    // Pairs: every cell's fastest bare and armed pass, bare first on
+    // even pairs and armed first on odd ones. Both sides simulate the
+    // same ops (asserted bit-identical above), so a pair's ops/sec
+    // ratio is its bare wall over its armed wall.
+    double ops_per_pass = 0.0;
+    for (const auto& r : armed)
+        ops_per_pass += static_cast<double>(r.report.ops);
     std::vector<double> ratios;
-    std::vector<std::array<Sample, 2>> totals(cells.size());
-    double off_ops_total = 0.0, off_wall_total = 0.0;
-    double on_ops_total = 0.0, on_wall_total = 0.0;
+    std::vector<std::array<std::vector<double>, 2>> walls(cells.size());
+    std::array<double, 2> wall_total{};
     for (int p = 0; p < kPairs; ++p) {
-        std::array<Sample, 2> pair; // [bare, armed]
-        for (int k = 0; k < 2; ++k) {
-            const bool instrumented = (k == 1) != (p % 2 == 1);
-            for (std::size_t c = 0; c < cells.size(); ++c) {
-                const Sample s = sampleCell(topo, cells[c], instrumented);
-                Sample& into = pair[instrumented ? 1 : 0];
-                into.ops += s.ops;
-                into.wall_ns += s.wall_ns;
-                totals[c][instrumented ? 1 : 0].ops += s.ops;
-                totals[c][instrumented ? 1 : 0].wall_ns += s.wall_ns;
+        std::array<double, 2> pair{}; // [bare, armed]
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            const auto best = sampleCell(topo, cells[c], p % 2 == 1);
+            for (int side = 0; side < 2; ++side) {
+                pair[side] += best[side];
+                walls[c][side].push_back(best[side]);
             }
         }
-        ratios.push_back((pair[1].ops / pair[1].wall_ns) /
-                         (pair[0].ops / pair[0].wall_ns));
-        off_ops_total += pair[0].ops;
-        off_wall_total += pair[0].wall_ns;
-        on_ops_total += pair[1].ops;
-        on_wall_total += pair[1].wall_ns;
+        ratios.push_back(pair[0] / pair[1]);
+        wall_total[0] += pair[0];
+        wall_total[1] += pair[1];
     }
 
     bench::JsonWriter cells_json;
     cells_json.beginArray();
     for (std::size_t c = 0; c < cells.size(); ++c) {
-        // Mean wall per simulated op, scaled to one run of the cell.
-        const double ops = static_cast<double>(armed[c].report.ops);
-        const double off_wall =
-            totals[c][0].wall_ns / totals[c][0].ops * ops;
-        const double on_wall = totals[c][1].wall_ns / totals[c][1].ops * ops;
+        // Median over pairs of the fastest pass, bare and armed.
+        const double off_wall = bench::median(walls[c][0]);
+        const double on_wall = bench::median(walls[c][1]);
         std::printf("  %-13s %6.2f ms bare  %6.2f ms armed  "
                     "(%.2fx, %zu instrument(s), %zu trace event(s), "
                     "fingerprint %016llx)\n",
@@ -209,8 +206,8 @@ main()
         cells_json.endObject();
     }
 
-    const double off_rate = off_ops_total / (off_wall_total * 1e-9);
-    const double on_rate = on_ops_total / (on_wall_total * 1e-9);
+    const double off_rate = ops_per_pass * kPairs / (wall_total[0] * 1e-9);
+    const double on_rate = ops_per_pass * kPairs / (wall_total[1] * 1e-9);
     const double overhead_ratio = bench::median(ratios);
     const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     std::printf("\naggregate: %.0f ops/sec bare, %.0f ops/sec armed; "

@@ -39,7 +39,6 @@ main()
         runtime::CommRuntime comm(queue, topo, cfg);
         const int id = comm.issue(request);
         queue.run();
-        comm.finalizeStats();
 
         const auto& rec = comm.record(id);
         std::printf("%-12s %s  (avg BW utilization %s",

@@ -308,7 +308,10 @@ const Flag kFlags[] = {
      kCluster, [](Options& o, V) { o.offset_search = true; }},
     {"--iterations", "N", "training iterations or cluster rounds [3]",
      kIterations | kCluster,
-     [](Options& o, V v) { o.iterations = intFlag(v, "--iterations", 1); }},
+     [](Options& o, V v) {
+         o.iterations = intFlag(v, "--iterations", 1);
+         workload::validateIterationCount(o.iterations);
+     }},
     {"--model", "NAME", "model-zoo workload [Transformer-1T]",
      kIterations, [](Options& o, V v) { o.model = v; }},
     {"--exact", nullptr, "assert the replay bit-identical to full runs",
@@ -936,7 +939,6 @@ collectiveValues(sim::EventQueue& queue, const Topology& topo,
     runtime::CommRuntime comm(queue, topo, cfg);
     const int cid = comm.issue(r);
     queue.run();
-    comm.finalizeStats();
     return {{"time_ns", comm.record(cid).duration()},
             {"util", comm.utilization().weightedUtilization()}};
 }
@@ -1143,7 +1145,7 @@ runIterations(const Options& o, Telemetry& telem)
                 "plans\n",
                 r.collectives, static_cast<unsigned long long>(r.ops),
                 cache.planCount());
-    comm.publishTelemetry();
+    comm.finalizeStats();
 
     RunReport report("iterations");
     report.setInfo("topology", topo.name());
@@ -1213,7 +1215,6 @@ runTenants(const Topology& topo, const runtime::RuntimeConfig& cfg,
     for (int i = 0; run_lo && i < kBulkCount; ++i)
         lo_ids.push_back(comm.issue(request(size, PriorityTier::Bulk)));
     queue.run();
-    comm.finalizeStats();
     TenantRun out;
     out.makespan = queue.now();
     for (int cid : hi_ids)
@@ -1391,7 +1392,7 @@ runClusterLockstep(const Options& o, const Topology& topo,
                      "its hyper-period of rounds) or --cycle-limit");
     if (!r.replay_refusal.empty())
         std::printf("  replay refused: %s\n", r.replay_refusal.c_str());
-    cl.runtime().publishTelemetry();
+    cl.runtime().finalizeStats();
 
     RunReport report = clusterReport(topo, cfg, runLabel(o));
     report.setNumber("rounds", r.iterations);
@@ -1565,6 +1566,7 @@ parseQuery(const std::string& line, const Options& o)
         return fail("topo= is required");
     try {
         validateChunkCount(q.chunks);
+        workload::validateIterationCount(q.iters);
         q.topo = resolveTopology(topo_tok);
         if (q.is_model)
             (void)models::byName(q.model);

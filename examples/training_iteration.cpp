@@ -45,7 +45,6 @@ main(int argc, char** argv)
         runtime::CommRuntime comm(queue, topo, cfg);
         workload::TrainingLoop loop(comm, model);
         const auto sum = loop.run(iterations);
-        comm.finalizeStats();
         if (cfg.scheduler == SchedulerKind::Baseline)
             baseline_total = sum.total;
         t.addRow({schedulerKindName(cfg.scheduler),

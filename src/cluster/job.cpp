@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
+#include "workload/convergence.hpp"
 
 namespace themis::cluster {
 
@@ -69,9 +70,10 @@ JobSpec::validate() const
         if (model.layers.empty())
             THEMIS_FATAL("training job '" << label()
                                           << "' has no layers");
-        if (iterations < 1)
+        if (iterations < 1 || iterations > workload::kMaxIterations)
             THEMIS_FATAL("training job '"
-                         << label() << "': iterations must be >= 1, got "
+                         << label() << "': iterations must be in [1, "
+                         << workload::kMaxIterations << "], got "
                          << iterations);
         return;
     }

@@ -36,6 +36,9 @@ namespace detail {
 [[noreturn]] inline void
 panicImpl(const char* file, int line, const std::string& msg)
 {
+    // abort() discards buffered stdio: without the flush, whatever a
+    // run printed to a redirected stdout before the panic is lost.
+    std::fflush(stdout);
     std::fprintf(stderr, "panic: %s:%d: %s\n", file, line, msg.c_str());
     std::fflush(stderr);
     std::abort();

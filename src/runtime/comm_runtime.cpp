@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
+#include "stats/trace_writer.hpp"
 
 namespace themis::runtime {
 
@@ -40,8 +41,7 @@ themisScfConfig()
 
 CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
                          RuntimeConfig config)
-    : queue_ref_(queue), topo_(std::move(topo)), config_(config),
-      activity_(topo_.numDims())
+    : queue_ref_(queue), topo_(std::move(topo)), config_(config)
 {
     telem_ = config_.telemetry;
     if (telem_ != nullptr) {
@@ -67,10 +67,6 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
         engines_.push_back(std::make_unique<DimensionEngine>(
             queue_ref_, topo_.dim(d), d, config_.intra_policy,
             config_.admission));
-        engines_.back()->setPresenceListener(
-            [this](int dim, bool present, TimeNs when) {
-                activity_.onPresence(dim, present, when);
-            });
         channels.push_back(&engines_.back()->channel());
         bws.push_back(topo_.dim(d).bandwidth());
     }
@@ -146,8 +142,16 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
     if (telem_ != nullptr) {
         if (fault_driver_)
             fault_driver_->setTelemetry(telem_);
-        if (telem_->trace != nullptr)
-            attachTrace(*telem_->trace);
+        if (telem_->trace != nullptr) {
+            telem_->trace->setProcessName(
+                stats::TraceWriter::kFabricPid, "fabric");
+            // Direct engine hook, not a std::function: the span fires
+            // once per chunk op, and the dispatch is measurable
+            // against the <=10% budget bench/telemetry_overhead.cpp
+            // enforces.
+            for (auto& engine : engines_)
+                engine->attachTrace(telem_->trace);
+        }
     }
 }
 
@@ -472,10 +476,11 @@ CommRuntime::beginIterationEpoch()
     // across the rebase.
     if (fault_driver_)
         fault_driver_->onEpochRebase(queue_ref_.now());
-    if (telem_ != nullptr)
+    if (telem_ != nullptr) {
         telem_->time_base += queue_ref_.now();
-    if (trace_ != nullptr)
-        trace_->advanceTimeBase(queue_ref_.now());
+        if (telem_->trace != nullptr)
+            telem_->trace->advanceTimeBase(queue_ref_.now());
+    }
     queue_ref_.rebaseToZero();
     // Epoch mode keeps per-epoch records only: ids, like the clock,
     // restart at zero, so a thousand-iteration run does not retain a
@@ -493,7 +498,6 @@ CommRuntime::beginIterationEpoch()
         epoch_completed_base_.push_back(engine->completedCount());
     }
     utilization_->epochReset();
-    activity_.reset();
     sessions_live_ = 0; // recycle the previous epoch's sessions
     epoch_active_ = true;
 }
@@ -588,9 +592,9 @@ CommRuntime::noteReplayedEpoch(TimeNs d)
         telem_->recorder.record(stats::telemetry::FlightEvent{
             telem_->absolute(queue_ref_.now()),
             stats::telemetry::FlightKind::ReplaySkip, -1, -1, d});
+        if (telem_->trace != nullptr)
+            telem_->trace->advanceTimeBase(d);
     }
-    if (trace_ != nullptr)
-        trace_->advanceTimeBase(d);
 }
 
 bool
@@ -711,28 +715,7 @@ CommRuntime::shadowPlanOrders(CollectiveType type,
 }
 
 void
-CommRuntime::attachTrace(stats::TraceWriter& trace)
-{
-    trace_ = &trace;
-    trace.setProcessName(stats::TraceWriter::kFabricPid, "fabric");
-    for (auto& engine : engines_) {
-        // Direct engine hook, not a FinishListener lambda: the span
-        // fires once per chunk op, and std::function dispatch is
-        // measurable against the <=10% tracing budget
-        // bench/telemetry_overhead.cpp enforces.
-        engine->attachTrace(&trace);
-    }
-}
-
-void
 CommRuntime::finalizeStats()
-{
-    activity_.finalize(queue_ref_.now());
-    publishTelemetry();
-}
-
-void
-CommRuntime::publishTelemetry()
 {
     if (telem_ == nullptr)
         return;

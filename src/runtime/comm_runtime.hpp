@@ -3,10 +3,11 @@
  * CommRuntime: the public entry point of the communication simulator.
  *
  * Owns one DimensionEngine per topology dimension, a scheduler per
- * collective scope, and the statistics instrumentation (utilization
- * windows per the Fig 4 definition, per-dimension activity for Fig 9).
- * The workload layer — or a bench — issues CollectiveRequests and
- * runs the shared event queue; callbacks fire on completion.
+ * collective scope, and the utilization windows of the Fig 4
+ * definition. The workload layer — or a bench — issues
+ * CollectiveRequests and runs the shared event queue; callbacks fire
+ * on completion. RuntimeConfig::telemetry is the one opt-in
+ * observation attach point (metrics, flight recorder, trace).
  */
 
 #ifndef THEMIS_RUNTIME_COMM_RUNTIME_HPP
@@ -27,9 +28,7 @@
 #include "runtime/collective_session.hpp"
 #include "runtime/fault_driver.hpp"
 #include "sim/fault_timeline.hpp"
-#include "stats/activity_timeline.hpp"
 #include "stats/telemetry/telemetry.hpp"
-#include "stats/trace_writer.hpp"
 #include "stats/utilization_tracker.hpp"
 #include "topology/topology.hpp"
 
@@ -146,7 +145,8 @@ struct RuntimeConfig
 
     /**
      * Telemetry sink (metrics registry + flight recorder + optional
-     * trace). Not owned — the caller keeps it alive for the runtime's
+     * trace), the runtime's one observation attach point: a set
+     * `trace` receives every completed chunk op. Not owned — the caller keeps it alive for the runtime's
      * lifetime, one instance per simulation thread (the registry is
      * not thread-safe). nullptr (the default) disables all publishing
      * at one branch per site; every publisher is a pure observer, so
@@ -376,9 +376,6 @@ class CommRuntime
         return has_fatal_retry_ ? &fatal_retry_ : nullptr;
     }
 
-    /** Per-dimension activity intervals (Fig 9). */
-    stats::ActivityTimeline& activity() { return activity_; }
-
     /** The telemetry sink this runtime publishes into (may be null). */
     stats::telemetry::Telemetry* telemetry() const
     {
@@ -395,23 +392,9 @@ class CommRuntime
 
     /**
      * Snapshot per-dimension engine/channel observables into the
-     * telemetry registry as gauges (`engine.dim<k>.*`). Idempotent;
-     * no-op without a telemetry sink. finalizeStats() calls this, and
-     * callers that bypass finalizeStats may call it directly before
+     * telemetry registry as gauges (`engine.dim<k>.*`). Idempotent and
+     * safe mid-run; no-op without a telemetry sink. Call it before
      * serializing a report.
-     */
-    void publishTelemetry();
-
-    /**
-     * Stream every completed chunk operation into @p trace (one
-     * timeline row per dimension; labels like "RS c3.s1 (2.0 MB)").
-     * The writer must outlive the runtime.
-     */
-    void attachTrace(stats::TraceWriter& trace);
-
-    /**
-     * Finish statistics at the current simulation time (closes open
-     * activity intervals). Call after the event queue drains.
      */
     void finalizeStats();
 
@@ -469,10 +452,10 @@ class CommRuntime
      * Open an iteration epoch: requires a fully quiescent runtime (no
      * outstanding collectives, drained event queue). Rebases the
      * event-queue clock and every channel clock to zero, zeroes the
-     * per-epoch statistics accumulators (utilization windows,
-     * progressed bytes, activity timeline), rewinds the session pool
-     * so this epoch reuses the previous epoch's session objects, and
-     * arms per-op fingerprinting.
+     * per-epoch statistics accumulators (utilization windows and
+     * progressed bytes), rewinds the session pool so this epoch reuses
+     * the previous epoch's session objects, and arms per-op
+     * fingerprinting.
      *
      * Epoch mode hands stats ownership to the caller: utilization(),
      * classReports() and records() then describe the current epoch
@@ -568,13 +551,11 @@ class CommRuntime
     std::map<int, Callback> callbacks_;
 
     int outstanding_ = 0;
-    stats::ActivityTimeline activity_;
     std::unique_ptr<stats::UtilizationTracker> utilization_;
     std::unique_ptr<FaultDriver> fault_driver_;
 
     // Telemetry (all pure observers; null when publishing is off).
     stats::telemetry::Telemetry* telem_ = nullptr;
-    stats::TraceWriter* trace_ = nullptr;
     /** Hot-path instrument handles, resolved once in the ctor. */
     stats::telemetry::Counter* m_issued_ = nullptr;
     stats::telemetry::Counter* m_completed_ = nullptr;

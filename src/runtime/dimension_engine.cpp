@@ -210,12 +210,6 @@ DimensionEngine::setStartListener(StartListener listener)
 }
 
 void
-DimensionEngine::setFinishListener(FinishListener listener)
-{
-    finish_listener_ = std::move(listener);
-}
-
-void
 DimensionEngine::attachTrace(stats::TraceWriter* trace)
 {
     trace_ = trace;
@@ -613,8 +607,6 @@ DimensionEngine::finish(std::uint64_t exec_id)
                                static_cast<std::size_t>(p - label),
                                started_at, queue_ref_.now());
     }
-    if (finish_listener_)
-        finish_listener_(op, started_at);
     // Completion may enqueue the chunk's next stage on another
     // dimension (or this one); notify first, then refill.
     op.on_complete(op);

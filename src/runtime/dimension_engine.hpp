@@ -195,10 +195,6 @@ class DimensionEngine
     /** Start callback: fired whenever an op begins executing. */
     using StartListener = std::function<void(const OpTag&)>;
 
-    /** Finish callback: (op, start time) fired at op completion. */
-    using FinishListener =
-        std::function<void(const ChunkOp&, TimeNs started)>;
-
     /**
      * Retry callback: (global dim, lost bytes, backoff delay) per
      * failed attempt. The delay is the exponential-backoff wait the
@@ -245,21 +241,22 @@ class DimensionEngine
     /** Drop the enforced order of @p collective_id (when it ends). */
     void clearEnforcedOrder(int collective_id);
 
-    /** Observe queue+active presence transitions (for Fig 9). */
+    /**
+     * Observe queue+active presence transitions (Fig 9 activity).
+     * Repeats are dropped here, so the listener sees strictly
+     * alternating present/absent calls, starting with present.
+     */
     void setPresenceListener(PresenceListener listener);
 
     /** Observe op starts (shadow-simulation order capture). */
     void setStartListener(StartListener listener);
 
-    /** Observe op completions with their start times (tracing). */
-    void setFinishListener(FinishListener listener);
-
     /**
      * Emit one fabric-row span per completed chunk op into @p trace
-     * (null detaches). A direct pointer, not a FinishListener: this
-     * fires on every op and the std::function dispatch alone is
-     * measurable against the <=10% tracing budget
-     * bench/telemetry_overhead.cpp enforces.
+     * (null detaches). A direct pointer, not a listener: this fires
+     * on every op and a std::function dispatch alone is measurable
+     * against the <=10% tracing budget bench/telemetry_overhead.cpp
+     * enforces.
      */
     void attachTrace(stats::TraceWriter* trace);
 
@@ -545,7 +542,6 @@ class DimensionEngine
 
     PresenceListener presence_;
     StartListener start_listener_;
-    FinishListener finish_listener_;
     /** Per-op span sink (attachTrace); null when tracing is off. */
     stats::TraceWriter* trace_ = nullptr;
     bool last_presence_ = false;

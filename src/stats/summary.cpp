@@ -1,11 +1,42 @@
 #include "stats/summary.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
 namespace themis::stats {
+
+std::vector<std::vector<double>>
+activityRates(const std::vector<ActivitySpans>& spans, TimeNs bucket_ns,
+              TimeNs end)
+{
+    THEMIS_ASSERT(bucket_ns > 0.0, "bucket must be positive");
+    const auto buckets =
+        static_cast<std::size_t>(std::ceil(end / bucket_ns));
+    std::vector<std::vector<double>> rate(
+        spans.size(), std::vector<double>(buckets, 0.0));
+    for (std::size_t d = 0; d < spans.size(); ++d) {
+        for (const auto& [s, e] : spans[d]) {
+            // Spread the interval across the buckets it covers.
+            std::size_t b0 = static_cast<std::size_t>(s / bucket_ns);
+            std::size_t b1 = static_cast<std::size_t>(
+                std::min(e / bucket_ns,
+                         static_cast<double>(buckets - 1)));
+            for (std::size_t b = b0; b <= b1 && b < buckets; ++b) {
+                const TimeNs lo = std::max<TimeNs>(
+                    s, static_cast<double>(b) * bucket_ns);
+                const TimeNs hi = std::min<TimeNs>(
+                    e, static_cast<double>(b + 1) * bucket_ns);
+                if (hi > lo)
+                    rate[d][b] += (hi - lo) / bucket_ns;
+            }
+        }
+    }
+    return rate;
+}
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))

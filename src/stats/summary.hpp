@@ -1,7 +1,8 @@
 /**
  * @file
- * Text-table formatting for bench/example reports, plus the summary
- * record of a single communication run.
+ * Text-table formatting for bench/example reports, the summary
+ * record of a single communication run, and the Fig 9 activity-rate
+ * bucketing.
  */
 
 #ifndef THEMIS_STATS_SUMMARY_HPP
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -187,6 +189,19 @@ struct FaultDimRow
     double backoff_p99 = -1.0;
     double backoff_max = -1.0;
 };
+
+/** One dimension's closed (start, end) activity intervals, in order. */
+using ActivitySpans = std::vector<std::pair<TimeNs, TimeNs>>;
+
+/**
+ * Per-dimension frontend activity rates (paper Fig 9): rate[d][b] in
+ * [0, 1] is the share of bucket [b * bucket_ns, (b + 1) * bucket_ns)
+ * that dimension d had a chunk op present (queued or executing), over
+ * ceil(end / bucket_ns) buckets covering [0, end).
+ */
+std::vector<std::vector<double>>
+activityRates(const std::vector<ActivitySpans>& spans, TimeNs bucket_ns,
+              TimeNs end);
 
 /** Render per-dimension fault/retry rows as a standard table. */
 std::string renderFaultTable(const std::vector<FaultDimRow>& rows);

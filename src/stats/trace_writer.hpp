@@ -22,10 +22,10 @@
 #ifndef THEMIS_STATS_TRACE_WRITER_HPP
 #define THEMIS_STATS_TRACE_WRITER_HPP
 
+#include <deque>
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -120,7 +120,12 @@ class TraceWriter
         TimeNs dur;   // ns; unused for instants
     };
 
-    std::vector<Event> events_;
+    /**
+     * A deque, not a vector: growth never moves recorded events. A
+     * vector's doubling copies were most of the armed-run cost
+     * bench/telemetry_overhead.cpp gates.
+     */
+    std::deque<Event> events_;
     std::map<int, std::string> process_names_;
     std::map<std::pair<int, int>, std::string> thread_names_;
     TimeNs time_base_ = 0.0;

@@ -14,6 +14,15 @@
 
 namespace themis::workload {
 
+void
+validateIterationCount(int iterations)
+{
+    if (iterations < 1 || iterations > kMaxIterations)
+        THEMIS_FATAL("iterations must be in [1, " << kMaxIterations
+                                                  << "], got "
+                                                  << iterations);
+}
+
 namespace {
 
 using runtime::CommRuntime;
@@ -147,7 +156,7 @@ runConverged(runtime::CommRuntime& comm,
              const std::vector<LockstepJob>& jobs,
              const ConvergenceOptions& opts)
 {
-    THEMIS_ASSERT(opts.iterations >= 1, "need at least one iteration");
+    validateIterationCount(opts.iterations);
     THEMIS_ASSERT(opts.confirm_iterations >= 2,
                   "steady state needs at least a pair of identical "
                   "cycles");

@@ -53,10 +53,24 @@
 
 namespace themis::workload {
 
+/**
+ * Most iterations (or lockstep rounds) one run may account for. A run
+ * keeps one breakdown per iteration, so an unbounded count exhausts
+ * memory before the first iteration simulates.
+ */
+constexpr int kMaxIterations = 1000000;
+
+/**
+ * Throw ConfigError unless 1 <= @p iterations <= kMaxIterations.
+ * runConverged applies it (and cluster::JobSpec::validate the same
+ * bound); front ends call it to reject a count before simulating.
+ */
+void validateIterationCount(int iterations);
+
 /** Tunables of a multi-iteration convergence run. */
 struct ConvergenceOptions
 {
-    /** Iterations to account for (>= 1). */
+    /** Iterations to account for, in [1, kMaxIterations]. */
     int iterations = 1;
 
     /**

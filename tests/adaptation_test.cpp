@@ -110,7 +110,6 @@ runOneCollective(const Topology& topo,
     req.chunks = chunks;
     const int id = run.comm->issue(req);
     run.queue->run();
-    run.comm->finalizeStats();
     run.duration = run.comm->record(id).duration();
     return run;
 }

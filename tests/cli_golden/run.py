@@ -193,6 +193,12 @@ CASES = {
             "topo=2D-SW_SW chunks=65537\n"),
         run("--topo 2D-SW_SW --chunks 65537 --jobs 'train:DLRM'"),
     ], False),
+    "err_iterations_bound": ([
+        run("--iterations 2000000000 --model DLRM"),
+        run("--serve --jobs 1",
+            "topo=2D-SW_SW model=DLRM iters=1000001\n"),
+        run("--topo 2D-SW_SW --jobs 'train:DLRM,iterations=2000000000'"),
+    ], False),
     "err_exact_without_steady_state": ([
         run("--topo 2D-SW_SW --iterations 1 --model DLRM --exact")], False),
     # --- --chunks reaches every simulating mode -------------------------

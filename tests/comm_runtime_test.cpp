@@ -87,7 +87,6 @@ TEST(CommRuntime, OverlappingScopedCollectivesShareOneWindow)
     comm.issue(request(CollectiveType::AllReduce, 64.0e6, 8,
                        {ScopeDim{2, 0}}));
     queue.run();
-    comm.finalizeStats();
     const TimeNs t0 = comm.record(0).duration();
     const TimeNs t1 = comm.record(1).duration();
     EXPECT_NEAR(comm.utilization().activeTime(), std::max(t0, t1),
@@ -96,11 +95,13 @@ TEST(CommRuntime, OverlappingScopedCollectivesShareOneWindow)
 
 TEST(CommRuntime, TraceCapturesEveryOp)
 {
-    sim::EventQueue queue;
-    CommRuntime comm(queue, presets::make2DSwSw(),
-                     themisScfConfig());
     stats::TraceWriter trace;
-    comm.attachTrace(trace);
+    stats::telemetry::Telemetry telem;
+    telem.trace = &trace;
+    RuntimeConfig cfg = themisScfConfig();
+    cfg.telemetry = &telem;
+    sim::EventQueue queue;
+    CommRuntime comm(queue, presets::make2DSwSw(), cfg);
     comm.issue(request(CollectiveType::AllReduce, 16.0e6, 4));
     queue.run();
     // 4 chunks x 4 stages.
@@ -139,7 +140,6 @@ TEST(CommRuntime, ManySequentialCollectivesStayConsistent)
     };
     comm.issue(req, chain);
     queue.run();
-    comm.finalizeStats();
     EXPECT_EQ(completed, 10);
     EXPECT_EQ(comm.outstanding(), 0);
     // All ten back-to-back collectives fall in one active window

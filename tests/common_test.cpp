@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -72,6 +75,28 @@ TEST(Error, AssertAbortsOnFalse)
 {
     EXPECT_DEATH(THEMIS_ASSERT(false, "expected failure"),
                  "assertion");
+}
+
+TEST(Error, PanicFlushesStdout)
+{
+    // Redirected to a file, stdout is fully buffered, as under a pipe:
+    // without a flush the child's marker dies in the buffer at abort.
+    const std::string path =
+        ::testing::TempDir() + "themis_panic_flush_stdout.txt";
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            if (std::freopen(path.c_str(), "w", stdout) == nullptr)
+                THEMIS_PANIC("cannot redirect stdout");
+            std::printf("marker before panic\n");
+            THEMIS_PANIC("expected panic");
+        },
+        "expected panic");
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "marker before panic");
+    std::remove(path.c_str());
 }
 
 TEST(Strings, SplitKeepsEmptyFields)

@@ -177,26 +177,20 @@ TEST(DimensionEngine, PresenceTogglesWithWork)
     EXPECT_EQ(transitions, (std::vector<bool>{true, false}));
 }
 
-TEST(DimensionEngine, ListenersSeeStartAndFinish)
+TEST(DimensionEngine, StartListenerSeesStart)
 {
     Harness h;
     DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Fifo,
                            AdmissionConfig{});
-    TimeNs started = -1.0, finished_start = -1.0;
+    TimeNs started = -1.0;
     engine.setStartListener([&](const OpTag& tag) {
         EXPECT_EQ(tag.chunk_id, 5);
         started = h.queue.now();
     });
-    engine.setFinishListener(
-        [&](const ChunkOp& op, TimeNs started_at) {
-            EXPECT_EQ(op.tag.chunk_id, 5);
-            finished_start = started_at;
-        });
     h.queue.scheduleAfter(2500.0,
                           [&] { engine.enqueue(h.op(5, 1.0e6)); });
     h.queue.run();
     EXPECT_DOUBLE_EQ(started, 2500.0);
-    EXPECT_DOUBLE_EQ(finished_start, 2500.0);
 }
 
 TEST(DimensionEngine, RejectsWrongDimensionOps)

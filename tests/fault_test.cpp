@@ -177,7 +177,6 @@ runOneCollective(const Topology& topo,
     req.chunks = 8;
     const int id = run.comm->issue(req);
     run.queue->run();
-    run.comm->finalizeStats();
     run.duration = run.comm->record(id).duration();
     return run;
 }

@@ -105,7 +105,6 @@ TEST_P(RuntimeFuzz, CollectiveCompletesAndConservesBytes)
                               runtime::themisScfConfig());
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     ASSERT_TRUE(comm.record(id).done());
     EXPECT_GT(comm.record(id).duration(), 0.0);
 
@@ -148,7 +147,6 @@ TEST_P(RuntimeFuzz, UtilizationStaysPhysical)
                               runtime::themisScfConfig());
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     const double util = comm.utilization().weightedUtilization();
     EXPECT_GE(util, 0.0);
     EXPECT_LE(util, 1.0 + 1e-9) << topo.describe();
@@ -274,7 +272,6 @@ TEST_P(FaultFuzz, RandomFaultTimelinesConserveBytesAndDrain)
     runtime::CommRuntime comm(queue, topo, cfg);
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     ASSERT_TRUE(comm.record(id).done())
         << topo.describe() << "\n" << faults.describe();
     EXPECT_TRUE(queue.empty());
@@ -362,7 +359,6 @@ TEST_P(AdaptationFuzz, LinkFaultsWithAdaptationConserveAndRepeat)
         runtime::CommRuntime comm(queue, topo, cfg);
         const int id = comm.issue(req);
         queue.run();
-        comm.finalizeStats();
         EXPECT_TRUE(comm.record(id).done())
             << topo.describe() << "\n" << faults.describe();
         EXPECT_TRUE(queue.empty());

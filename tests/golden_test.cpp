@@ -32,6 +32,7 @@
 #include "sim/fault_timeline.hpp"
 #include "sim/shared_channel.hpp"
 #include "sim/sweep_runner.hpp"
+#include "stats/summary.hpp"
 #include "topology/presets.hpp"
 #include "workload/convergence.hpp"
 #include "workload/training_loop.hpp"
@@ -490,7 +491,6 @@ runOnce(const Topology& topo, const RuntimeConfig& cfg, Bytes size,
     const int id =
         comm.issue(request(CollectiveType::AllReduce, size, chunks));
     queue.run();
-    comm.finalizeStats();
     return {comm.record(id).duration(),
             comm.utilization().weightedUtilization()};
 }
@@ -643,6 +643,43 @@ TEST(Golden, FaultAdaptRun)
     EXPECT_EQ(hex(comm.capacityFingerprint()), "0xfeeb67df025f1b18");
     EXPECT_EQ(comm.replanCount(), 3u);
     EXPECT_EQ(retries, 177u);
+}
+
+TEST(Golden, Fig9ActivityRates)
+{
+    // bench_fig09_activity's scenario: per-dimension presence spans of
+    // a 1 GB All-Reduce on 3D-SW_SW_SW_homo under each Table 3 config,
+    // bucketed into 100 us activity rates.
+    const Topology topo = presets::make3DSwSwSwHomo();
+    const int dims = topo.numDims();
+    Fnv1a h;
+    for (const auto& cfg :
+         {runtime::baselineConfig(), runtime::themisFifoConfig(),
+          runtime::themisScfConfig()}) {
+        std::vector<stats::ActivitySpans> spans(
+            static_cast<std::size_t>(dims));
+        std::vector<TimeNs> since(spans.size(), 0.0);
+        sim::EventQueue queue;
+        CommRuntime comm(queue, topo, cfg);
+        for (int d = 0; d < dims; ++d)
+            comm.engine(d).setPresenceListener(
+                [&](int dim, bool present, TimeNs when) {
+                    const auto k = static_cast<std::size_t>(dim);
+                    if (present)
+                        since[k] = when;
+                    else if (when > since[k])
+                        spans[k].emplace_back(since[k], when);
+                });
+        comm.issue(request(CollectiveType::AllReduce, 1.0e9, 64));
+        queue.run();
+        for (const auto& dim :
+             stats::activityRates(spans, 100.0 * kUs, queue.now())) {
+            h.mix(static_cast<std::uint64_t>(dim.size()));
+            for (double r : dim)
+                h.mix(r);
+        }
+    }
+    EXPECT_EQ(hex(h.value()), "0xaeb1f978c36bd3e3");
 }
 
 } // namespace

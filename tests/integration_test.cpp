@@ -33,7 +33,6 @@ runAllReduce(const Topology& topo, const runtime::RuntimeConfig& cfg,
     req.chunks = chunks;
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     return RunResult{comm.record(id).duration(),
                      comm.utilization().weightedUtilization()};
 }

@@ -60,7 +60,6 @@ simulate(const Topology& topo, runtime::RuntimeConfig cfg,
     req.chunks = 16;
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     return SimResult{comm.record(id).duration(),
                      comm.utilization().weightedUtilization()};
 }
@@ -294,7 +293,6 @@ TEST(PlanCache, SharedAcrossSweepWorkersDeterministic)
             req.chunks = 16;
             const int id = comm.issue(req);
             queue.run();
-            comm.finalizeStats();
             return SimResult{
                 comm.record(id).duration(),
                 comm.utilization().weightedUtilization()};

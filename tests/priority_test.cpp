@@ -452,7 +452,6 @@ TEST(ClassStats, TieredPolicyReportsPerClassUsage)
     comm.issue(bulk);
     comm.issue(urgent);
     queue.run();
-    comm.finalizeStats();
 
     const auto reports = comm.classReports();
     ASSERT_EQ(reports.size(), 3u);
@@ -489,7 +488,6 @@ TEST(ClassStats, UniformPolicyCollapsesToOneClass)
     req.priority_tier = static_cast<int>(PriorityTier::Bulk);
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     const auto reports = comm.classReports();
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].issued, 2);

@@ -45,7 +45,6 @@ runSingleAllReduce(const Topology& topo, const RuntimeConfig& cfg,
     req.chunks = chunks;
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     EXPECT_TRUE(comm.record(id).done());
     return comm.record(id).duration();
 }
@@ -165,7 +164,6 @@ TEST(Runtime, UtilizationMatchesHandCount)
     req.chunks = 4;
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     EXPECT_NEAR(comm.utilization().weightedUtilization(),
                 480.0 / 576.0, 1e-6);
 }
@@ -181,7 +179,6 @@ TEST(Runtime, ThemisScfUtilizationHigher)
         req.chunks = 4;
         comm.issue(req);
         queue.run();
-        comm.finalizeStats();
         return comm.utilization().weightedUtilization();
     };
     const double u_base = run_util(baselineConfig());
@@ -202,7 +199,6 @@ TEST(Runtime, PerDimUtilizationBounded)
     req.chunks = 64;
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     for (double u : comm.utilization().perDimUtilization()) {
         EXPECT_GE(u, 0.0);
         EXPECT_LE(u, 1.0 + 1e-9);
@@ -211,21 +207,31 @@ TEST(Runtime, PerDimUtilizationBounded)
 
 TEST(Runtime, ActivityIntervalsCoverBaselineBottleneck)
 {
+    // Busy time per dimension: the summed spans its engine reports
+    // ops present (queued or executing).
+    std::vector<TimeNs> busy(2, 0.0), since(2, 0.0);
     sim::EventQueue queue;
     CommRuntime comm(queue, fig5Topology(), baselineConfig());
     CollectiveRequest req;
     req.type = CollectiveType::AllReduce;
     req.size = 256.0e6;
     req.chunks = 4;
+    for (int d = 0; d < 2; ++d)
+        comm.engine(d).setPresenceListener(
+            [&](int dim, bool present, TimeNs when) {
+                const auto k = static_cast<std::size_t>(dim);
+                if (present)
+                    since[k] = when;
+                else
+                    busy[k] += when - since[k];
+            });
     const int id = comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     // dim1 is busy the whole collective under baseline scheduling.
-    EXPECT_NEAR(comm.activity().busyTime(0),
-                comm.record(id).duration(), 1.0);
+    EXPECT_NEAR(busy[0], comm.record(id).duration(), 1.0);
     // dim2 has ops present from the first chunk's RS completion until
     // the last AG feeds back, but far less transfer time.
-    EXPECT_GT(comm.activity().busyTime(1), 0.0);
+    EXPECT_GT(busy[1], 0.0);
 }
 
 TEST(Runtime, ScopedCollectiveUsesOnlyScopedDims)
@@ -240,7 +246,6 @@ TEST(Runtime, ScopedCollectiveUsesOnlyScopedDims)
     req.scope = {ScopeDim{2, 0}}; // last dimension only
     comm.issue(req);
     queue.run();
-    comm.finalizeStats();
     comm.engine(0).channel().sync();
     comm.engine(1).channel().sync();
     comm.engine(2).channel().sync();
@@ -303,7 +308,6 @@ TEST(Runtime, BackToBackCollectivesSeparateWindows)
         queue.scheduleAfter(1.0e6, [&] { comm.issue(req); });
     });
     queue.run();
-    comm.finalizeStats();
     const auto& recs = comm.records();
     ASSERT_EQ(recs.size(), 2u);
     const TimeNs busy =

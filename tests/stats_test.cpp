@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the statistics layer: activity timelines (Fig 9
+ * Unit tests for the statistics layer: activity-rate bucketing (Fig 9
  * machinery), utilization windows (Fig 4 definition), CSV output and
  * text tables.
  */
@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "stats/activity_timeline.hpp"
 #include "stats/csv_writer.hpp"
 #include "stats/summary.hpp"
 #include "stats/trace_writer.hpp"
@@ -20,61 +19,24 @@
 namespace themis::stats {
 namespace {
 
-TEST(ActivityTimeline, RecordsIntervals)
+TEST(ActivityRates, Bucketization)
 {
-    ActivityTimeline tl(2);
-    tl.onPresence(0, true, 100.0);
-    tl.onPresence(0, false, 300.0);
-    tl.onPresence(1, true, 200.0);
-    tl.finalize(500.0);
-    ASSERT_EQ(tl.intervals(0).size(), 1u);
-    EXPECT_DOUBLE_EQ(tl.intervals(0)[0].first, 100.0);
-    EXPECT_DOUBLE_EQ(tl.intervals(0)[0].second, 300.0);
-    // Open interval closed at finalize time.
-    ASSERT_EQ(tl.intervals(1).size(), 1u);
-    EXPECT_DOUBLE_EQ(tl.intervals(1)[0].second, 500.0);
-    EXPECT_DOUBLE_EQ(tl.busyTime(0), 200.0);
-    EXPECT_DOUBLE_EQ(tl.busyTime(1), 300.0);
+    const auto rate = activityRates({{{0.0, 150.0}}}, 100.0, 400.0);
+    ASSERT_EQ(rate.size(), 1u);
+    ASSERT_EQ(rate[0].size(), 4u);
+    EXPECT_DOUBLE_EQ(rate[0][0], 1.0);
+    EXPECT_DOUBLE_EQ(rate[0][1], 0.5);
+    EXPECT_DOUBLE_EQ(rate[0][2], 0.0);
+    EXPECT_DOUBLE_EQ(rate[0][3], 0.0);
 }
 
-TEST(ActivityTimeline, DuplicateNotificationsIgnored)
+TEST(ActivityRates, IntervalSpanningManyBuckets)
 {
-    ActivityTimeline tl(1);
-    tl.onPresence(0, true, 10.0);
-    tl.onPresence(0, true, 20.0);
-    tl.onPresence(0, false, 30.0);
-    tl.onPresence(0, false, 40.0);
-    tl.finalize(50.0);
-    ASSERT_EQ(tl.intervals(0).size(), 1u);
-    EXPECT_DOUBLE_EQ(tl.busyTime(0), 20.0);
-}
-
-TEST(ActivityTimeline, ProfileBucketization)
-{
-    ActivityTimeline tl(1);
-    tl.onPresence(0, true, 0.0);
-    tl.onPresence(0, false, 150.0);
-    tl.finalize(400.0);
-    const auto p = tl.profile(100.0, 400.0);
-    ASSERT_EQ(p.rate.size(), 1u);
-    ASSERT_EQ(p.rate[0].size(), 4u);
-    EXPECT_DOUBLE_EQ(p.rate[0][0], 1.0);
-    EXPECT_DOUBLE_EQ(p.rate[0][1], 0.5);
-    EXPECT_DOUBLE_EQ(p.rate[0][2], 0.0);
-    EXPECT_DOUBLE_EQ(p.rate[0][3], 0.0);
-}
-
-TEST(ActivityTimeline, ProfileHandlesIntervalSpanningManyBuckets)
-{
-    ActivityTimeline tl(1);
-    tl.onPresence(0, true, 50.0);
-    tl.onPresence(0, false, 350.0);
-    tl.finalize(400.0);
-    const auto p = tl.profile(100.0, 400.0);
-    EXPECT_DOUBLE_EQ(p.rate[0][0], 0.5);
-    EXPECT_DOUBLE_EQ(p.rate[0][1], 1.0);
-    EXPECT_DOUBLE_EQ(p.rate[0][2], 1.0);
-    EXPECT_DOUBLE_EQ(p.rate[0][3], 0.5);
+    const auto rate = activityRates({{{50.0, 350.0}}}, 100.0, 400.0);
+    EXPECT_DOUBLE_EQ(rate[0][0], 0.5);
+    EXPECT_DOUBLE_EQ(rate[0][1], 1.0);
+    EXPECT_DOUBLE_EQ(rate[0][2], 1.0);
+    EXPECT_DOUBLE_EQ(rate[0][3], 0.5);
 }
 
 TEST(UtilizationTracker, WindowedBytes)
