@@ -21,7 +21,8 @@
  * and the modes that read it. usage() prints that table (README.md
  * carries the same flag x mode matrix), and a flag given to a mode
  * that does not read it, or overridden there by another flag (--topo
- * by --grid, --chunks by --sweep), is a ConfigError instead of being
+ * by --grid, --chunks by --sweep, --type/--size by --jobs mixes,
+ * --tier-ratio by their absence), is a ConfigError instead of being
  * dropped.
  *
  * Example:
@@ -242,6 +243,14 @@ struct Flag
 
 using V = const std::string&;
 
+/** The override of the collective's --type/--size on a mix grid. */
+const char*
+byJobsMixes(const Options& o)
+{
+    return o.mode == kGrid && !o.jobs_spec.empty()
+               ? "--jobs, which lists the cluster mixes" : nullptr;
+}
+
 const Flag kFlags[] = {
     {"--topo", "NAME|SPEC", "Table 2 preset or spec SW:16:200x6:700,... "
      "(topology/parse.hpp) [3D-SW_SW_SW_homo]", kOneRuntime | kPriority |
@@ -255,10 +264,11 @@ const Flag kFlags[] = {
          o.type = toLower(v);
          if (!collectiveType(o.type))
              THEMIS_FATAL("bad --type '" << v << "' (ar|rs|ag|a2a)");
-     }},
+     }, byJobsMixes},
     {"--size", "BYTES", "per-NPU collective size [1e9]", kSingle | kGrid |
      kServe | kPriority,
-     [](Options& o, V v) { o.size = numberFlag(v, "--size", 0, true); }},
+     [](Options& o, V v) { o.size = numberFlag(v, "--size", 0, true); },
+     byJobsMixes},
     {"--chunks", "N", "chunks per collective [64]", kSimulating,
      [](Options& o, V v) { o.chunks = intFlag(v, "--chunks", 1); },
      [](const Options& o) -> const char* {
@@ -303,7 +313,11 @@ const Flag kFlags[] = {
      [](Options& o, V v) { o.priority = ratioFlag(v, "--priority"); }},
     {"--tier-ratio", "W", "cluster weight ladder tiered(W) [4]",
      kCluster | kGrid,
-     [](Options& o, V v) { o.tier_ratio = ratioFlag(v, "--tier-ratio"); }},
+     [](Options& o, V v) { o.tier_ratio = ratioFlag(v, "--tier-ratio"); },
+     [](const Options& o) -> const char* {
+         return o.mode == kGrid && o.jobs_spec.empty()
+                    ? "no --jobs mixes, whose tiers it weights" : nullptr;
+     }},
     {"--offset-search", nullptr, "phase-offset search; run the best",
      kCluster, [](Options& o, V) { o.offset_search = true; }},
     {"--iterations", "N", "training iterations or cluster rounds [3]",

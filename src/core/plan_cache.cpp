@@ -72,13 +72,6 @@ PlanKey::operator==(const PlanKey& o) const
 }
 
 bool
-StepKey::operator==(const StepKey& o) const
-{
-    return phase == o.phase && bitEquals(entering, o.entering) &&
-           dim_fingerprint == o.dim_fingerprint;
-}
-
-bool
 OrderKey::operator==(const OrderKey& o) const
 {
     return plan == o.plan && intra_policy == o.intra_policy &&
@@ -113,16 +106,6 @@ std::size_t
 PlanCache::PlanKeyHash::operator()(const PlanKey& k) const
 {
     return static_cast<std::size_t>(planKeyHash(k));
-}
-
-std::size_t
-PlanCache::StepKeyHash::operator()(const StepKey& k) const
-{
-    Fnv1a h;
-    h.mix(static_cast<std::uint64_t>(k.phase));
-    h.mix(k.entering);
-    h.mix(k.dim_fingerprint);
-    return static_cast<std::size_t>(h.value());
 }
 
 std::size_t
@@ -187,36 +170,6 @@ PlanCache::storeOrders(const OrderKey& key,
     return orders_.try_emplace(key, std::move(value)).first->second;
 }
 
-bool
-PlanCache::findStep(const StepKey& key, StepSummary& out) const
-{
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = steps_.find(key);
-        if (it != steps_.end()) {
-            step_hits_.fetch_add(1, std::memory_order_relaxed);
-            out = it->second;
-            return true;
-        }
-    }
-    step_misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-void
-PlanCache::storeStep(const StepKey& key, const StepSummary& summary)
-{
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    steps_.try_emplace(key, summary);
-}
-
-std::size_t
-PlanCache::stepCount() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return steps_.size();
-}
-
 std::size_t
 PlanCache::planCount() const
 {
@@ -239,8 +192,6 @@ PlanCache::stats() const
     s.plan_misses = plan_misses_.load(std::memory_order_relaxed);
     s.order_hits = order_hits_.load(std::memory_order_relaxed);
     s.order_misses = order_misses_.load(std::memory_order_relaxed);
-    s.step_hits = step_hits_.load(std::memory_order_relaxed);
-    s.step_misses = step_misses_.load(std::memory_order_relaxed);
     return s;
 }
 

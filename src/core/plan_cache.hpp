@@ -20,15 +20,8 @@
  * policy, admission configuration and planner kind, and deriving them
  * costs a full shadow simulation per collective.
  *
- * Chunk-op *step plans* are memoized as well: the lumped
- * (fixed delay, wire bytes) aggregate of one phase of one chunk on
- * one dimension is a pure function of (phase, entering bytes,
- * dimension parameters), and sessions re-derive it per stage per
- * iteration. Keys use LatencyModel::dimFingerprint(), so the memo is
- * shared across scopes and sweep cells that touch the same physical
- * dimension. Step plans are history-free, so even the carry-load
- * Themis configuration (whose chunk *schedules* bypass the cache)
- * uses this memo.
+ * The cache is consulted once per collective, never per chunk op:
+ * op step lumps are memoized per runtime (runtime::StepMemo).
  *
  * The cache is thread-safe and read-mostly: one instance is shared
  * across sweep workers (std::shared_mutex; lookups take the shared
@@ -130,30 +123,6 @@ struct OrderKey
     bool operator==(const OrderKey& o) const;
 };
 
-/** Everything one chunk-op step plan depends on. */
-struct StepKey
-{
-    Phase phase = Phase::ReduceScatter;
-
-    /** Per-NPU data size entering the stage (bit-pattern compared). */
-    Bytes entering = 0.0;
-
-    /** LatencyModel::dimFingerprint() of the stage's dimension. */
-    std::uint64_t dim_fingerprint = 0;
-
-    bool operator==(const StepKey& o) const;
-};
-
-/** Memoized lumped step aggregates (runtime/chunk_op.cpp derivation). */
-struct StepSummary
-{
-    /** Sum of step latencies (A). */
-    TimeNs fixed_delay = 0.0;
-
-    /** Total wire volume (N). */
-    Bytes total_bytes = 0.0;
-};
-
 /** Shared, read-mostly plan memoization; see file comment. */
 class PlanCache
 {
@@ -169,8 +138,6 @@ class PlanCache
         std::uint64_t plan_misses = 0;
         std::uint64_t order_hits = 0;
         std::uint64_t order_misses = 0;
-        std::uint64_t step_hits = 0;
-        std::uint64_t step_misses = 0;
     };
 
     PlanCache() = default;
@@ -195,23 +162,11 @@ class PlanCache
     OrderPtr storeOrders(const OrderKey& key,
                          std::vector<std::vector<OpKey>> orders);
 
-    /**
-     * Cached step plan for @p key; false leaves @p out untouched
-     * (counts a hit/miss).
-     */
-    bool findStep(const StepKey& key, StepSummary& out) const;
-
-    /** Store a step plan; first writer wins (values identical). */
-    void storeStep(const StepKey& key, const StepSummary& summary);
-
     /** Distinct plans currently cached. */
     std::size_t planCount() const;
 
     /** Distinct order plans currently cached. */
     std::size_t orderCount() const;
-
-    /** Distinct step plans currently cached. */
-    std::size_t stepCount() const;
 
     Stats stats() const;
 
@@ -226,21 +181,13 @@ class PlanCache
         std::size_t operator()(const OrderKey& k) const;
     };
 
-    struct StepKeyHash
-    {
-        std::size_t operator()(const StepKey& k) const;
-    };
-
     mutable std::shared_mutex mutex_;
     std::unordered_map<PlanKey, PlanPtr, PlanKeyHash> plans_;
     std::unordered_map<OrderKey, OrderPtr, OrderKeyHash> orders_;
-    std::unordered_map<StepKey, StepSummary, StepKeyHash> steps_;
     mutable std::atomic<std::uint64_t> plan_hits_{0};
     mutable std::atomic<std::uint64_t> plan_misses_{0};
     mutable std::atomic<std::uint64_t> order_hits_{0};
     mutable std::atomic<std::uint64_t> order_misses_{0};
-    mutable std::atomic<std::uint64_t> step_hits_{0};
-    mutable std::atomic<std::uint64_t> step_misses_{0};
 };
 
 } // namespace themis

@@ -16,11 +16,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 
 #include "collective/algorithms.hpp"
 #include "common/error.hpp"
 #include "core/chunk.hpp"
-#include "core/plan_cache.hpp"
 #include "core/priority_policy.hpp"
 
 namespace themis::runtime {
@@ -124,19 +124,65 @@ struct ChunkOp
     std::function<void(const ChunkOp&)> on_complete;
 };
 
+/** Lumped step aggregate of one phase of one chunk on one dimension. */
+struct StepSummary
+{
+    /** Sum of step latencies (A). */
+    TimeNs fixed_delay = 0.0;
+
+    /** Total wire volume (N). */
+    Bytes total_bytes = 0.0;
+};
+
+/**
+ * Memo of step lumps, one per CommRuntime. A lump is a pure function
+ * of (phase, entering bytes, dimension parameters), and sessions
+ * re-derive the same lumps per stage per iteration, so each is summed
+ * once and then looked up. Keys use LatencyModel::dimFingerprint();
+ * entering bytes compare by bit pattern. A runtime runs on one
+ * thread, so lookups take no lock and touch no shared counter. Lumps
+ * are history-free, so configurations that bypass the plan cache
+ * (carry-load Themis, no cache at all) memoize them too.
+ */
+class StepMemo
+{
+  public:
+    /** The lump of @p phase entering @p entering bytes on @p dim,
+     *  whose dimFingerprint() is @p dim_fingerprint. */
+    const StepSummary& lump(Phase phase, Bytes entering,
+                            const DimensionConfig& dim,
+                            std::uint64_t dim_fingerprint);
+
+  private:
+    struct Key
+    {
+        Phase phase;
+        Bytes entering;
+        std::uint64_t dim_fingerprint;
+
+        bool operator==(const Key& o) const;
+    };
+
+    struct KeyHash
+    {
+        std::size_t operator()(const Key& k) const;
+    };
+
+    std::unordered_map<Key, StepSummary, KeyHash> lumps_;
+};
+
 /**
  * Build a ChunkOp for @p phase of chunk @p tag on dimension @p dim
  * (computes the step plan and time aggregates). @p flow is the parent
- * collective's flow class. When @p step_cache is non-null the lumped
- * step aggregates are memoized under (phase, entering,
- * @p dim_fingerprint) — pass LatencyModel::dimFingerprint() of the
- * stage's dimension.
+ * collective's flow class. When @p step_memo is non-null the step
+ * lump comes from it, keyed by @p dim_fingerprint — pass
+ * LatencyModel::dimFingerprint() of the stage's dimension.
  */
 ChunkOp makeChunkOp(const OpTag& tag, Phase phase, int local_dim,
                     int global_dim, Bytes entering,
                     const DimensionConfig& dim,
                     std::function<void(const ChunkOp&)> on_complete,
-                    FlowClass flow = {}, PlanCache* step_cache = nullptr,
+                    FlowClass flow = {}, StepMemo* step_memo = nullptr,
                     std::uint64_t dim_fingerprint = 0);
 
 } // namespace themis::runtime

@@ -11,13 +11,13 @@ CollectiveSession::CollectiveSession(int id, CollectiveType type,
                                      sim::EventQueue& queue,
                                      CompletionCallback on_done,
                                      FlowClass flow,
-                                     PlanCache* step_cache)
+                                     StepMemo* step_memo)
     : CollectiveSession(
           id, type,
           std::make_shared<const std::vector<ChunkSchedule>>(
               std::move(schedules)),
           std::move(engines), model, queue, std::move(on_done), flow,
-          step_cache)
+          step_memo)
 {
 }
 
@@ -28,11 +28,11 @@ CollectiveSession::CollectiveSession(int id, CollectiveType type,
                                      sim::EventQueue& queue,
                                      CompletionCallback on_done,
                                      FlowClass flow,
-                                     PlanCache* step_cache)
+                                     StepMemo* step_memo)
     : id_(id), type_(type), schedules_(std::move(schedules)),
       engines_(std::move(engines)), model_(&model), queue_(queue),
       on_done_(std::move(on_done)), flow_(flow),
-      step_cache_(step_cache),
+      step_memo_(step_memo),
       on_op_complete_(
           [this](const ChunkOp& op) { onOpComplete(op); })
 {
@@ -44,8 +44,7 @@ CollectiveSession::reset(int id, CollectiveType type,
                          SchedulePtr schedules,
                          const std::vector<DimensionEngine*>& engines,
                          const LatencyModel& model,
-                         CompletionCallback on_done, FlowClass flow,
-                         PlanCache* step_cache)
+                         CompletionCallback on_done, FlowClass flow)
 {
     THEMIS_ASSERT(!started_ || done(),
                   "recycling a session whose collective is in flight");
@@ -56,7 +55,6 @@ CollectiveSession::reset(int id, CollectiveType type,
     model_ = &model;
     on_done_ = std::move(on_done);
     flow_ = flow;
-    step_cache_ = step_cache;
     // on_op_complete_ captures `this`, which is stable — reuse it.
     completed_chunks_ = 0;
     start_time_ = 0.0;
@@ -109,7 +107,7 @@ CollectiveSession::submitStage(std::size_t chunk_idx, int stage_index,
     OpTag tag{id_, sched.chunk_id, stage_index};
     engine->enqueue(makeChunkOp(
         tag, stage.phase, stage.dim, engine->globalDim(), entering,
-        model_->dim(stage.dim), on_op_complete_, flow_, step_cache_,
+        model_->dim(stage.dim), on_op_complete_, flow_, step_memo_,
         model_->dimFingerprint(stage.dim)));
 }
 

@@ -42,14 +42,14 @@ class CollectiveSession
      * @param on_done   completion callback
      * @param flow      flow class every chunk op of this collective
      *                  carries (priority tier + GPS weight)
-     * @param step_cache optional step-plan memo shared with the plan
-     *                  cache (not owned; may be null)
+     * @param step_memo optional step-lump memo of the owning runtime
+     *                  (not owned; may be null)
      */
     CollectiveSession(int id, CollectiveType type, SchedulePtr schedules,
                       std::vector<DimensionEngine*> engines,
                       const LatencyModel& model, sim::EventQueue& queue,
                       CompletionCallback on_done, FlowClass flow = {},
-                      PlanCache* step_cache = nullptr);
+                      StepMemo* step_memo = nullptr);
 
     /** Convenience overload wrapping freshly derived schedules. */
     CollectiveSession(int id, CollectiveType type,
@@ -57,7 +57,7 @@ class CollectiveSession
                       std::vector<DimensionEngine*> engines,
                       const LatencyModel& model, sim::EventQueue& queue,
                       CompletionCallback on_done, FlowClass flow = {},
-                      PlanCache* step_cache = nullptr);
+                      StepMemo* step_memo = nullptr);
 
     CollectiveSession(const CollectiveSession&) = delete;
     CollectiveSession& operator=(const CollectiveSession&) = delete;
@@ -68,12 +68,13 @@ class CollectiveSession
      * iteration-epoch session pool recycles sessions this way, so
      * steady-state iterations construct no sessions at all). Requires
      * the previous collective to have completed (asserts). The event
-     * queue binding is fixed for the object's lifetime.
+     * queue and step memo bindings are fixed for the object's
+     * lifetime.
      */
     void reset(int id, CollectiveType type, SchedulePtr schedules,
                const std::vector<DimensionEngine*>& engines,
                const LatencyModel& model, CompletionCallback on_done,
-               FlowClass flow = {}, PlanCache* step_cache = nullptr);
+               FlowClass flow = {});
 
     /** Submit stage 0 of every chunk. Records the issue time. */
     void start();
@@ -117,7 +118,7 @@ class CollectiveSession
     sim::EventQueue& queue_;
     CompletionCallback on_done_;
     FlowClass flow_;
-    PlanCache* step_cache_;
+    StepMemo* step_memo_;
     /** One op-completion closure, built once and copied per op
      *  (small-buffer copy; no per-stage closure allocations). */
     std::function<void(const ChunkOp&)> on_op_complete_;

@@ -440,20 +440,21 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
     auto on_session_done = [this](CollectiveSession& s) {
         onCollectiveDone(s.id());
     };
-    // Step plans are history-free, so even configs whose chunk
-    // schedules bypass the cache (carry-load Themis) memoize them.
-    PlanCache* step_cache = config_.plan_cache;
+    // Every session derives its op step lumps through the runtime's
+    // own memo: history-free, so even configs whose chunk schedules
+    // bypass the plan cache (carry-load Themis, no cache) use it, and
+    // lock-free, because one runtime runs on one thread.
     CollectiveSession* session;
     if (sessions_live_ < sessions_.size()) {
         // Epoch session pool: recycle the slot in place.
         session = sessions_[sessions_live_].get();
         session->reset(id, request.type, std::move(schedules), engines,
-                       *state.model, on_session_done, flow, step_cache);
+                       *state.model, on_session_done, flow);
     } else {
         sessions_.push_back(std::make_unique<CollectiveSession>(
             id, request.type, std::move(schedules), engines,
             *state.model, queue_ref_, on_session_done, flow,
-            step_cache));
+            &step_memo_));
         session = sessions_.back().get();
     }
     ++sessions_live_;
@@ -706,7 +707,7 @@ CommRuntime::shadowPlanOrders(CollectiveType type,
     // change relative order — passing it keeps the replay faithful.
     CollectiveSession shadow(0, type, schedules, std::move(engine_ptrs),
                              model, shadow_queue, nullptr, flow,
-                             config_.plan_cache);
+                             &step_memo_);
     shadow.start();
     shadow_queue.run();
     THEMIS_ASSERT(shadow.done(),

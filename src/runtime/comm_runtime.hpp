@@ -537,6 +537,8 @@ class CommRuntime
 
     std::vector<std::unique_ptr<DimensionEngine>> engines_;
     std::map<std::vector<ScopeDim>, ScopeState> scopes_;
+    /** Step lumps of every session, the shadow ones included. */
+    StepMemo step_memo_;
     /**
      * Session pool: slots up to sessions_live_ belong to the current
      * epoch (or to the whole run when epochs are unused); an epoch

@@ -486,9 +486,11 @@ DimensionEngine::startOp(std::uint32_t id)
             static_cast<std::uint64_t>(op.tag.stage_index));
         fingerprint_->mix(queue_ref_.now());
     }
+    // phaseTag, not phaseName: logDebug formats nothing below Debug,
+    // but a std::string argument would be built for every op anyway.
     logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
              " start chunk ", op.tag.chunk_id, " stage ",
-             op.tag.stage_index, " (", phaseName(op.phase), ", ",
+             op.tag.stage_index, " (", phaseTag(op.phase), ", ",
              op.entering, " B in, ", active_.size(), " active)");
     if (start_listener_)
         start_listener_(op.tag);

@@ -412,7 +412,11 @@ SharedChannel::onCompletionEvent()
     // weight-scaled residual (v_end - vtime_) * weight (positive for
     // a force-drained sliver, negative for ulp overshoot) closes the
     // books — conservation is exact per class and in aggregate.
-    std::vector<std::pair<TransferId, Callback>> done;
+    // Steal the scratch buffer (as EventQueue::runCohorts does) so a
+    // callback that re-enters the channel gets a fresh one.
+    std::vector<std::pair<TransferId, Callback>> done =
+        std::move(done_scratch_);
+    done.clear();
     while (dropStaleTop() && finish_heap_.front().v_end <= threshold) {
         const FinishEntry entry = finish_heap_.front();
         heapPop();
@@ -441,6 +445,8 @@ SharedChannel::onCompletionEvent()
     // rescheduled); make sure a completion is queued for survivors.
     if (pending_event_ == 0)
         reschedule();
+    done.clear();
+    done_scratch_ = std::move(done);
 }
 
 void

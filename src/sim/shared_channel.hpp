@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/small_vector.hpp"
@@ -292,6 +293,8 @@ class SharedChannel
      * affect any accounted value.
      */
     SmallVector<int, 8> busy_classes_;
+    /** onCompletionEvent's drain buffer, reused across events. */
+    std::vector<std::pair<TransferId, Callback>> done_scratch_;
     TransferId next_id_ = 1;
     TimeNs last_update_ = 0.0;
     EventQueue::EventId pending_event_ = 0;

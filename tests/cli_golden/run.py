@@ -225,6 +225,12 @@ CASES = {
     "rej_grid_topo": ([run("--grid 2D-SW_SW --topo 4D-Ring_SW_SW_SW")],
                       False),
     "rej_sweep_chunks": ([run("--sweep 8,16 --chunks 32")], False),
+    "rej_grid_tier_ratio": ([run("--grid 2D-SW_SW --tier-ratio 2")],
+                            False),
+    "rej_mix_size": ([run("--grid 2D-SW_SW --size 1e8 --jobs train:DLRM")],
+                     False),
+    "rej_mix_type": ([run("--grid 2D-SW_SW --type ag --jobs train:DLRM")],
+                     False),
     "usage": ([run("--bogus")], False),
     # --- strict numeric values ------------------------------------------
     "strict_flags": ([

@@ -401,36 +401,35 @@ TEST(PlanCachePriority, KeysExtendByPriorityFingerprint)
     EXPECT_TRUE(d == e);
 }
 
-TEST(PlanCachePriority, StepMemoReturnsIdenticalOps)
+TEST(StepMemo, ReturnsUnmemoizedOps)
 {
     const Topology topo = presets::byName("2D-SW_SW");
     const LatencyModel model = LatencyModel::fromTopology(topo);
-    PlanCache cache;
     auto noop = [](const runtime::ChunkOp&) {};
-    const auto plain = runtime::makeChunkOp(
-        runtime::OpTag{0, 0, 0}, Phase::ReduceScatter, 0, 0, 2.5e6,
-        model.dim(0), noop);
-    for (int i = 0; i < 3; ++i) {
-        const auto memoized = runtime::makeChunkOp(
-            runtime::OpTag{0, 0, 0}, Phase::ReduceScatter, 0, 0,
-            2.5e6, model.dim(0), noop, FlowClass{}, &cache,
-            model.dimFingerprint(0));
-        EXPECT_EQ(memoized.fixed_delay, plain.fixed_delay);
-        EXPECT_EQ(memoized.transfer_time, plain.transfer_time);
-        ASSERT_EQ(memoized.steps.size(), plain.steps.size());
-        EXPECT_EQ(memoized.steps[0].bytes, plain.steps[0].bytes);
-        EXPECT_EQ(memoized.steps[0].latency, plain.steps[0].latency);
+    auto makeOp = [&](int d, runtime::StepMemo* memo) {
+        return runtime::makeChunkOp(
+            runtime::OpTag{0, 0, d}, Phase::ReduceScatter, d, d, 2.5e6,
+            model.dim(d), noop, FlowClass{}, memo,
+            model.dimFingerprint(d));
+    };
+    const runtime::ChunkOp plain[2] = {makeOp(0, nullptr),
+                                       makeOp(1, nullptr)};
+    // The two dimensions' lumps differ, so a memo that handed dim 0's
+    // entry back for dim 1's fingerprint would fail below.
+    ASSERT_NE(plain[0].steps[0].bytes, plain[1].steps[0].bytes);
+    runtime::StepMemo memo;
+    for (int d = 0; d < 2; ++d) {
+        // The first lookup fills the entry; the repeats read it back.
+        for (int i = 0; i < 3; ++i) {
+            const auto memoized = makeOp(d, &memo);
+            EXPECT_EQ(memoized.fixed_delay, plain[d].fixed_delay);
+            EXPECT_EQ(memoized.transfer_time, plain[d].transfer_time);
+            ASSERT_EQ(memoized.steps.size(), plain[d].steps.size());
+            EXPECT_EQ(memoized.steps[0].bytes, plain[d].steps[0].bytes);
+            EXPECT_EQ(memoized.steps[0].latency,
+                      plain[d].steps[0].latency);
+        }
     }
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.step_misses, 1u);
-    EXPECT_EQ(stats.step_hits, 2u);
-    EXPECT_EQ(cache.stepCount(), 1u);
-    // A different dimension fingerprint is a distinct entry.
-    (void)runtime::makeChunkOp(runtime::OpTag{0, 0, 1},
-                               Phase::ReduceScatter, 1, 1, 2.5e6,
-                               model.dim(1), noop, FlowClass{}, &cache,
-                               model.dimFingerprint(1));
-    EXPECT_EQ(cache.stepCount(), 2u);
 }
 
 // ------------------------------------------------ per-class stats
