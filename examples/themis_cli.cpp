@@ -130,7 +130,7 @@ struct Options
     int cycle_limit = 0; // 0 = auto (job-mix hyper-period)
     /** --jobs: sweep worker threads (0 = hardware concurrency), or,
      *  when not an integer, a cluster spec list. */
-    int jobs = 0;
+    std::optional<int> jobs;
     std::string jobs_spec;
     std::string trace, report, sweep, grid, shard, results, merge, faults;
     std::optional<sim::FaultTimeline> fault_tl;
@@ -297,6 +297,15 @@ const Flag kFlags[] = {
              o.jobs = parseInt(v, "--jobs");
          else
              o.jobs_spec = v;
+     },
+     [](const Options& o) -> const char* {
+         // Only the offset search runs a cluster on worker threads.
+         static std::string why;
+         if (o.mode != kCluster || !o.jobs || o.offset_search)
+             return nullptr;
+         why = "no --offset-search, so its thread count " +
+               std::to_string(*o.jobs) + " goes unread";
+         return why.c_str();
      }},
     {"--shard", "I/N", "own the grid cells with index = I mod N", kGrid,
      [](Options& o, V v) { o.shard = v; }},
@@ -1487,7 +1496,7 @@ runCluster(const Options& o, Telemetry& telem)
     const bool lockstep = o.exact || o.no_replay || o.cycle_limit > 0;
     std::vector<TimeNs> offsets;
     if (o.offset_search) {
-        offsets = searchOffsets(topo, cfg, specs, o.jobs);
+        offsets = searchOffsets(topo, cfg, specs, o.jobs.value_or(0));
         if (!lockstep)
             sched.shiftArrivals(offsets);
     }
@@ -1667,7 +1676,7 @@ serveBatch(const std::vector<Query>& batch, ServeState& s,
                 return evalQuery(batch[miss_idx[j]], o, s.cache, queue);
             });
         },
-        sim::SweepOptions{o.jobs});
+        sim::SweepOptions{o.jobs.value_or(0)});
     std::unordered_map<std::string, double> simulated_ms;
     for (std::size_t j = 0; j < miss_idx.size(); ++j) {
         const std::string& key = batch[miss_idx[j]].key;
@@ -1965,7 +1974,7 @@ runGrid(const Options& o, Telemetry& telem)
             return timed(
                 [&] { return evalCell(g, pending[j], o, cache, queue); });
         },
-        sim::SweepOptions{o.jobs});
+        sim::SweepOptions{o.jobs.value_or(0)});
     const double wall_ms = nowMs() - t0;
     // Journal the fresh cells in canonical cell order (pending is
     // ascending), so independently produced shard journals merge

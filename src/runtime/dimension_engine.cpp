@@ -135,7 +135,6 @@ DimensionEngine::readyInsert(std::uint32_t id)
     heapPlace<kReadyHeap>(heaps_[kReadyHeap].size() - 1, id);
     heaps_[kAgeHeap].push_back(id);
     heapPlace<kAgeHeap>(heaps_[kAgeHeap].size() - 1, id);
-    ++tier_ready_[static_cast<std::size_t>(keys_[id].key.tier)];
 }
 
 void
@@ -143,7 +142,6 @@ DimensionEngine::readyErase(std::uint32_t id)
 {
     heapErase<kReadyHeap>(id);
     heapErase<kAgeHeap>(id);
-    --tier_ready_[static_cast<std::size_t>(keys_[id].key.tier)];
 }
 
 void
@@ -359,78 +357,6 @@ DimensionEngine::tryStart()
 {
     if (link_down_)
         return; // flapped: holds until the driver raises the link
-    // The batched refill handles the overwhelmingly common shape —
-    // one flow tier, no enforced orders, no anti-starvation debt —
-    // where selection order is exactly the ready heap's pop order and
-    // no start can reshape the candidate set. Everything else takes
-    // the general one-op-at-a-time path. The two paths admit
-    // identical prefixes by construction (the batch evaluates the
-    // same check against the same running aggregates).
-    const std::vector<std::uint32_t>& ready = heaps_[kReadyHeap];
-    if (ready.empty())
-        return;
-    const auto head_tier =
-        static_cast<std::size_t>(keys_[ready.front()].key.tier);
-    if (!enforced_.empty() ||
-        bypass_streak_ >= admission_.max_priority_bypass ||
-        tier_ready_[head_tier] != ready.size()) {
-        tryStartScalar();
-        return;
-    }
-    tryStartBatch();
-}
-
-void
-DimensionEngine::tryStartBatch()
-{
-    // One streamed pass over the policy-ordered ready prefix. The
-    // admission aggregates (running transfer-time sum, running max
-    // delay, running active count) are hoisted into locals, so every
-    // candidate costs exactly one branch-light admit evaluation —
-    // arithmetic on register-resident doubles, no per-start re-query
-    // of the active aggregates — and the pass stops at the
-    // first rejection, which closes the refill (nothing admitted
-    // later could change the verdict: the aggregates only grow).
-    // Admit rule == scalar path: the first op of an idle engine is
-    // always admitted; otherwise admit while the active count is
-    // under the hard cap and the weighted service demand is below
-    // headroom x largest delay x the candidate's weight (see
-    // AdmissionConfig::latency_headroom).
-    double sum = active_weighted_sum_;
-    double max_delay = active_max_delay_;
-    std::size_t active_n = active_.size();
-    const double headroom = admission_.latency_headroom;
-    const auto maxpar =
-        static_cast<std::size_t>(admission_.max_parallel_ops);
-    bool started = false;
-    while (!heaps_[kReadyHeap].empty()) {
-        const std::uint32_t id = heaps_[kReadyHeap].front();
-        const ChunkOp& op = slots_[id].op;
-        const double w = op.flow.weight;
-        const double budget = headroom * max_delay * w;
-        const bool admit =
-            (active_n == 0) |
-            ((active_n < maxpar) & (sum < budget));
-        if (!admit)
-            break;
-        sum += op.transfer_time * w;
-        max_delay = op.fixed_delay > max_delay ? op.fixed_delay
-                                               : max_delay;
-        ++active_n;
-        readyErase(id);
-        startOp(id);
-        started = true;
-    }
-    // Same-tier starts can never bypass an older lower-tier op, so
-    // the streak ends at zero exactly as the scalar path's per-start
-    // updates would leave it.
-    if (started)
-        bypass_streak_ = 0;
-}
-
-void
-DimensionEngine::tryStartScalar()
-{
     while (!heaps_[kReadyHeap].empty()) {
         // Tier-then-policy head by default; the oldest waiting op
         // once the bypass streak hits the anti-starvation bound.
@@ -456,7 +382,7 @@ DimensionEngine::tryStartScalar()
         // Retried ops (attempt > 0) already advanced their
         // collective's enforced cursor at their first start; bumping
         // it again would skip the true next op forever.
-        if (op.attempt == 0) {
+        if (op.attempt == 0 && !enforced_.empty()) {
             auto eit = enforced_.find(op.tag.collective_id);
             if (eit != enforced_.end()) {
                 ++eit->second.next;
@@ -545,22 +471,18 @@ DimensionEngine::advance(std::uint64_t exec_id)
             return;
         }
         // Channel accounting is per (job, tier): job 0 — the single-
-        // workload case — maps onto the plain tier indices.
-        if (faults_armed_) {
-            channel_.begin(
-                step.bytes, flow.weight,
-                [this, exec_id] { advance(exec_id); },
-                accountingClass(flow),
-                [this, exec_id, step](Bytes remaining) {
-                    // Bytes the failed wire step DID move get re-sent
-                    // on retry; account them as lost work.
-                    failOp(exec_id, step.bytes - remaining);
-                });
-        } else {
-            channel_.begin(step.bytes, flow.weight,
-                           [this, exec_id] { advance(exec_id); },
-                           accountingClass(flow));
-        }
+        // workload case — maps onto the plain tier indices. The fail
+        // handler accounts the bytes a failed wire step DID move as
+        // lost work: they get re-sent on retry.
+        channel_.begin(
+            step.bytes, flow.weight, [this, exec_id] { advance(exec_id); },
+            accountingClass(flow),
+            faults_armed_ ? sim::SharedChannel::FailCallback(
+                                [this, exec_id, step](Bytes remaining) {
+                                    failOp(exec_id,
+                                           step.bytes - remaining);
+                                })
+                          : nullptr);
     };
     if (step.latency > 0.0) {
         queue_ref_.scheduleAfter(step.latency, do_transfer);

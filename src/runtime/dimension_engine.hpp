@@ -35,17 +35,10 @@
  * that are not yet expected are parked per collective and promoted
  * when the order cursor reaches them.
  *
- * Refills are *batched* on the common path: when the ready set spans
- * one flow tier, no enforced order is installed and no
- * anti-starvation debt is pending, the selection order is exactly the
- * ready heap's pop order and no start can reshape it — so the engine
- * evaluates the admission headroom checks over the ready prefix in
- * one streamed pass with the aggregates (running transfer-time sum,
- * running max delay, running active count) hoisted into locals and a
- * branch-light admit formula. The one-op-at-a-time loop is the
- * general path: it serves enforced orders, mixed tiers and pending
- * bypasses, and admits the identical prefix wherever the batch
- * applies.
+ * Refills take one loop: it starts the head of the ready heap (or the
+ * oldest ready op, below) while admission allows, one op at a time,
+ * so a start that promotes an enforced order's next op or moves the
+ * bypass streak reshapes the very next pick.
  *
  * Anti-starvation: tier precedence alone would let a sustained
  * high-tier stream park a low-tier op forever. The engine counts
@@ -58,7 +51,6 @@
 #ifndef THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 #define THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -470,14 +462,8 @@ class DimensionEngine
     /** Drop @p id from the active list and its aggregates. */
     void leaveActive(std::uint32_t id);
 
+    /** Start ready ops while admission allows (see file comment). */
     void tryStart();
-    /** One-op-at-a-time refill over the indexed ready heaps (general
-     *  path: enforced orders, mixed tiers, anti-starvation). */
-    void tryStartScalar();
-    /** Batched refill: admission headroom checks streamed over the
-     *  ready prefix in one pass with register-resident aggregates
-     *  (single-tier, order-free fast path). */
-    void tryStartBatch();
     bool admissionAllows(const ChunkOp& candidate) const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
@@ -508,9 +494,6 @@ class DimensionEngine
     /** Ready heaps over slot ids: kReadyHeap by ReadyCompare,
      *  kAgeHeap by arrival_seq. */
     std::vector<std::uint32_t> heaps_[2];
-    /** Ready ops per flow tier (one tier spans the heap iff its count
-     *  is the heap size). */
-    std::array<std::size_t, kNumPriorityTiers> tier_ready_{};
     /** Queued ops, ready and parked. */
     std::size_t queued_ = 0;
     /** Consecutive starts that bypassed an older lower-tier op. */

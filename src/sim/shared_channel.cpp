@@ -10,17 +10,11 @@ namespace themis::sim {
 
 namespace {
 
-/** Remaining-byte tolerance: below this a transfer counts as drained. */
-constexpr Bytes kDrainEps = 1e-6;
-
 /**
- * Time sliver (ns) below which a residual transfer is force-drained:
- * when the final bytes would take less than this to move, the
- * completion timestamp can fall below the double-precision ulp of the
- * simulation clock, making the event fire with zero elapsed time.
- * One picosecond is far below any modelled latency.
+ * Remaining-virtual-byte tolerance: within this of its finish point a
+ * transfer counts as drained.
  */
-constexpr TimeNs kTimeSliver = 1e-3;
+constexpr Bytes kDrainEps = 1e-6;
 
 /**
  * Virtual-time rebase threshold. The drain test compares finish
@@ -73,7 +67,7 @@ SharedChannel::heapPop()
 double
 SharedChannel::virtualRate() const
 {
-    // With all-unit weights weight_sum_ == active_.size() exactly
+    // With all-unit weights weight_sum_ == activeCount() exactly
     // (sums of 1.0 are integers): an equal split.
     return capacity_ / weight_sum_;
 }
@@ -158,25 +152,48 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     // give the same finish points.
     const double v_end =
         vtime_ + (weight == 1.0 ? bytes : bytes / weight);
-    active_.emplace(id, Transfer{std::move(on_done), weight,
-                                 priority_class, std::move(on_fail)});
+    std::uint32_t slot = free_head_;
+    if (slot == kNoSlot) {
+        THEMIS_ASSERT(transfers_.size() < kNoSlot,
+                      "transfer slot pool exhausted");
+        slot = static_cast<std::uint32_t>(transfers_.size());
+        transfers_.emplace_back();
+    } else {
+        free_head_ = transfers_[slot].next_free;
+    }
+    Transfer& t = transfers_[slot];
+    t.on_done = std::move(on_done);
+    t.on_fail = std::move(on_fail);
+    t.weight = weight;
+    t.cls = priority_class;
     weight_sum_ += weight;
     ClassState& cs = classState(priority_class);
     cs.weight_sum += weight;
     if (cs.active == 0)
         busy_classes_.push_back(priority_class);
     ++cs.active;
-    heapPush(FinishEntry{v_end, id});
-    if (active_.size() > peak_active_)
-        peak_active_ = active_.size();
+    heapPush(FinishEntry{v_end, id, slot});
+    if (finish_heap_.size() > peak_active_)
+        peak_active_ = finish_heap_.size();
     reschedule();
     return id;
 }
 
 void
-SharedChannel::dropWeight(const Transfer& t)
+SharedChannel::release(std::uint32_t slot)
 {
+    Transfer& t = transfers_[slot];
     weight_sum_ -= t.weight;
+    if (finish_heap_.empty()) {
+        weight_sum_ = 0.0; // shed fp drift at channel quiesce points
+    } else if (t.weight > weight_sum_) {
+        // The subtraction cancelled most of the sum, so its rounding
+        // error may now exceed what remains (weights 1, 1e12 and 1e24
+        // left -5.4e8 behind one live transfer): re-sum the survivors.
+        weight_sum_ = 0.0;
+        for (const FinishEntry& entry : finish_heap_)
+            weight_sum_ += transfers_[entry.slot].weight;
+    }
     ClassState& cs = classState(t.cls);
     cs.weight_sum -= t.weight;
     THEMIS_ASSERT(cs.active > 0, "class active count out of sync");
@@ -193,20 +210,21 @@ SharedChannel::dropWeight(const Transfer& t)
             }
         }
     }
-    if (active_.empty())
-        weight_sum_ = 0.0; // shed fp drift at channel quiesce points
+    t.on_done = nullptr;
+    t.on_fail = nullptr;
+    t.next_free = free_head_;
+    free_head_ = slot;
 }
 
 void
 SharedChannel::epochReset()
 {
-    THEMIS_ASSERT(active_.empty(),
+    THEMIS_ASSERT(finish_heap_.empty(),
                   "epoch reset with transfers in flight");
     // Any recorded completion event is stale by construction (an idle
     // channel schedules nothing), and the caller has just rebased the
     // event queue, so the id must simply be forgotten, not cancelled.
     pending_event_ = 0;
-    finish_heap_.clear();
     vtime_ = 0.0;
     weight_sum_ = 0.0;
     last_update_ = queue_.now();
@@ -225,15 +243,19 @@ void
 SharedChannel::abort(TransferId id)
 {
     advanceTo(queue_.now());
-    auto it = active_.find(id);
-    if (it == active_.end())
+    const auto it =
+        std::find_if(finish_heap_.begin(), finish_heap_.end(),
+                     [id](const FinishEntry& e) { return e.id == id; });
+    if (it == finish_heap_.end())
         return;
     // The partial service received so far stays in progressed_bytes_;
-    // only the untransferred remainder vanishes with the transfer. The
-    // heap entry is discarded lazily by dropStaleTop().
-    const Transfer t = std::move(it->second);
-    active_.erase(it);
-    dropWeight(t);
+    // only the untransferred remainder vanishes with the transfer.
+    const std::uint32_t slot = it->slot;
+    *it = finish_heap_.back();
+    finish_heap_.pop_back();
+    std::make_heap(finish_heap_.begin(), finish_heap_.end(),
+                   FinishLater{});
+    release(slot);
     reschedule();
 }
 
@@ -281,38 +303,31 @@ std::size_t
 SharedChannel::failActive()
 {
     advanceTo(queue_.now());
-    if (active_.empty())
+    if (finish_heap_.empty())
         return 0;
-    // The finish points live only in the heap; collect the live ones
-    // (skipping aborted leftovers) so each failure can report its
-    // untransferred remainder.
-    std::vector<std::pair<FailCallback, Bytes>> failed;
-    failed.reserve(active_.size());
-    std::vector<std::pair<TransferId, double>> live;
-    live.reserve(active_.size());
-    for (const FinishEntry& entry : finish_heap_)
-        if (active_.find(entry.id) != active_.end())
-            live.emplace_back(entry.id, entry.v_end);
-    THEMIS_ASSERT(live.size() == active_.size(),
-                  "finish heap lost a live transfer");
     // Fail in begin order (ids are monotonic), mirroring the drain
     // callback order.
-    std::sort(live.begin(), live.end());
-    for (const auto& [id, v_end] : live) {
-        auto it = active_.find(id);
-        Transfer t = std::move(it->second);
-        THEMIS_ASSERT(t.on_fail,
-                      "failActive: transfer " << id
-                                              << " has no fail handler");
+    std::vector<FinishEntry> live(finish_heap_.begin(),
+                                  finish_heap_.end());
+    finish_heap_.clear();
+    std::sort(live.begin(), live.end(),
+              [](const FinishEntry& a, const FinishEntry& b) {
+                  return a.id < b.id;
+              });
+    std::vector<std::pair<FailCallback, Bytes>> failed;
+    failed.reserve(live.size());
+    for (const FinishEntry& entry : live) {
+        Transfer& t = transfers_[entry.slot];
+        THEMIS_ASSERT(t.on_fail, "failActive: transfer "
+                                     << entry.id
+                                     << " has no fail handler");
         // Like abort(): the service received so far stays in the
         // progress accounts; only the remainder is lost.
-        const double residual = (v_end - vtime_) * t.weight;
-        const Bytes remaining = residual > 0.0 ? residual : 0.0;
-        active_.erase(it);
-        dropWeight(t);
-        failed.emplace_back(std::move(t.on_fail), remaining);
+        const double residual = (entry.v_end - vtime_) * t.weight;
+        failed.emplace_back(std::move(t.on_fail),
+                            residual > 0.0 ? residual : 0.0);
+        release(entry.slot);
     }
-    finish_heap_.clear();
     if (pending_event_ != 0) {
         queue_.cancel(pending_event_);
         pending_event_ = 0;
@@ -321,7 +336,7 @@ SharedChannel::failActive()
         cb(remaining);
     // Failure handlers may have begun fresh transfers (each begin()
     // reschedules); make sure survivors have a completion queued.
-    if (pending_event_ == 0 && !active_.empty())
+    if (pending_event_ == 0 && !finish_heap_.empty())
         reschedule();
     return failed.size();
 }
@@ -334,7 +349,7 @@ SharedChannel::advanceTo(TimeNs t)
                                                    << last_update_);
     const TimeNs dt = t - last_update_;
     last_update_ = t;
-    if (dt <= 0.0 || active_.empty())
+    if (dt <= 0.0 || finish_heap_.empty())
         return;
     // Weighted fluid service: every active transfer receives
     // capacity * w / weight_sum, so the unit-weight virtual clock
@@ -356,15 +371,6 @@ SharedChannel::advanceTo(TimeNs t)
     maybeRebase();
 }
 
-bool
-SharedChannel::dropStaleTop()
-{
-    while (!finish_heap_.empty() &&
-           active_.find(finish_heap_.front().id) == active_.end())
-        heapPop(); // aborted; discard lazily
-    return !finish_heap_.empty();
-}
-
 void
 SharedChannel::reschedule()
 {
@@ -372,7 +378,7 @@ SharedChannel::reschedule()
         queue_.cancel(pending_event_);
         pending_event_ = 0;
     }
-    if (!dropStaleTop())
+    if (finish_heap_.empty())
         return;
     // Next completion: the heap top's virtual remainder at the
     // unit-weight virtual rate (the earliest v_end drains first by
@@ -390,49 +396,39 @@ SharedChannel::onCompletionEvent()
 {
     pending_event_ = 0;
     advanceTo(queue_.now());
-    THEMIS_ASSERT(dropStaleTop(),
+    THEMIS_ASSERT(!finish_heap_.empty(),
                   "completion event fired with no active transfers");
-    // Drain threshold in virtual time: kDrainEps normally; when
-    // floating-point clock granularity swallowed the final sliver of
-    // the nearest transfer (its drain time is below kTimeSliver),
-    // widen to its finish point so the event still completes
-    // something. The sliver test deliberately measures the virtual
-    // remainder at full capacity — conservative under weights.
-    double threshold = vtime_ + kDrainEps;
-    const double top_remaining = finish_heap_.front().v_end - vtime_;
-    if (top_remaining > kDrainEps &&
-        top_remaining / capacity_ < kTimeSliver) {
-        threshold = finish_heap_.front().v_end;
-    }
+    // This event was scheduled for the heap top, so it drains at least
+    // that one: normally everything within kDrainEps of the virtual
+    // clock, and the top itself when floating-point granularity left
+    // the clock short of it — a final sliver below the time ulp, or
+    // a remainder far above kDrainEps at extreme magnitudes.
+    const double threshold =
+        std::max(vtime_ + kDrainEps, finish_heap_.front().v_end);
     // Collect everything that drained (simultaneous completions are
     // possible), remove them from the active set *before* invoking the
     // callbacks so callbacks can begin()/abort() safely. Each drained
     // transfer's progress account is settled exactly to its demand:
     // advanceTo attributed (vtime_ - v_start) * weight to it, so the
     // weight-scaled residual (v_end - vtime_) * weight (positive for
-    // a force-drained sliver, negative for ulp overshoot) closes the
+    // a force-drained top, negative for ulp overshoot) closes the
     // books — conservation is exact per class and in aggregate.
     // Steal the scratch buffer (as EventQueue::runCohorts does) so a
     // callback that re-enters the channel gets a fresh one.
     std::vector<std::pair<TransferId, Callback>> done =
         std::move(done_scratch_);
     done.clear();
-    while (dropStaleTop() && finish_heap_.front().v_end <= threshold) {
+    while (!finish_heap_.empty() &&
+           finish_heap_.front().v_end <= threshold) {
         const FinishEntry entry = finish_heap_.front();
         heapPop();
-        auto it = active_.find(entry.id);
-        const double residual =
-            (entry.v_end - vtime_) * it->second.weight;
+        Transfer& t = transfers_[entry.slot];
+        const double residual = (entry.v_end - vtime_) * t.weight;
         progressed_bytes_ += residual;
-        classState(it->second.cls).progressed += residual;
-        done.emplace_back(entry.id, std::move(it->second.on_done));
-        const Transfer t{nullptr, it->second.weight, it->second.cls,
-                         nullptr};
-        active_.erase(it);
-        dropWeight(t);
+        classState(t.cls).progressed += residual;
+        done.emplace_back(entry.id, std::move(t.on_done));
+        release(entry.slot);
     }
-    THEMIS_ASSERT(!done.empty(),
-                  "completion event fired with nothing drained");
     // Callbacks run in begin order (ids are monotonic), matching the
     // historical id-ordered drain scan.
     std::sort(done.begin(), done.end(),

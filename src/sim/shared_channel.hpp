@@ -19,11 +19,13 @@
  * sum-of-active-weights). A transfer beginning at virtual time V with
  * B bytes and weight w finishes exactly when V reaches V + B/w, so
  * each transfer is keyed by its finish point in virtual time in a
- * min-heap. Advancing the clock updates one scalar (O(1));
- * begin/abort/completion touch only the heap (O(log n)) — nothing
- * ever iterates the active set. With every weight equal to 1 the
- * arithmetic reduces term-for-term to equal sharing (the weight sum
- * of n unit flows is exactly the integer n in double precision).
+ * min-heap. Advancing the clock updates one scalar (O(1)); begin and
+ * completion touch only the heap (O(log n)). Every heap entry is a
+ * live transfer: abort() removes its entry at once (O(n), a linear
+ * find and a re-heapify; only tests abort). With every weight equal
+ * to 1 the arithmetic reduces term-for-term to equal sharing (the
+ * weight sum of n unit flows is exactly the integer n in double
+ * precision).
  *
  * Because only differences (v_end - V) carry meaning, the channel
  * periodically *rebases* virtual time: once V exceeds 1e9 virtual
@@ -47,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/small_vector.hpp"
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/telemetry/metrics.hpp"
@@ -104,7 +105,10 @@ class SharedChannel
                      int priority_class = 0,
                      FailCallback on_fail = nullptr);
 
-    /** Abort an in-flight transfer; its callback never fires. */
+    /**
+     * Abort an in-flight transfer; its callback never fires. O(n) in
+     * the active count; a no-op for an id that already completed.
+     */
     void abort(TransferId id);
 
     /**
@@ -131,7 +135,7 @@ class SharedChannel
     std::size_t failActive();
 
     /** Number of currently active transfers. */
-    std::size_t activeCount() const { return active_.size(); }
+    std::size_t activeCount() const { return finish_heap_.size(); }
 
     /** Configured capacity (bytes/ns). */
     Bandwidth capacity() const { return capacity_; }
@@ -183,12 +187,12 @@ class SharedChannel
 
     /**
      * Iteration-epoch reset: rebase the channel clock to the queue's
-     * (just-rebased) current time, zero the virtual clock and every
-     * progress accumulator, and drop stale heap entries. Requires an
+     * (just-rebased) current time and zero the virtual clock and
+     * every progress accumulator. Requires an
      * idle channel (asserts no active transfers). After this call the
      * channel's dynamic state is identical to a freshly constructed
-     * one except for next_id_ and peak_active_, neither of which
-     * influences transfer timing — which is what makes steady-state
+     * one except for next_id_, peak_active_ and the transfer slot
+     * pool, none of which influences transfer timing — which is what makes steady-state
      * training iterations bit-identical and the per-epoch progressed
      * byte counters bit-stable across iterations.
      */
@@ -203,18 +207,21 @@ class SharedChannel
                         const std::string& prefix) const;
 
   private:
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
     /**
-     * Map payload for a live transfer: presence in active_ is the
-     * liveness test for heap entries, so this is the callback plus
-     * the flow parameters needed to settle its accounts — the finish
-     * point lives solely in the heap's FinishEntry.
+     * A transfer's callbacks and flow parameters, kept in a recycled
+     * slot of transfers_ while it is in flight; the finish point
+     * lives solely in its heap entry.
      */
     struct Transfer
     {
         Callback on_done;
+        FailCallback on_fail; ///< set when the caller can retry
         double weight = 1.0;
         int cls = 0;
-        FailCallback on_fail; ///< set when the caller can retry
+        /** Next free slot while this one is free. */
+        std::uint32_t next_free = kNoSlot;
     };
 
     /** Per-class aggregates; index = priority class. */
@@ -231,6 +238,7 @@ class SharedChannel
     {
         double v_end;
         TransferId id;
+        std::uint32_t slot; ///< index into transfers_
     };
 
     struct FinishLater
@@ -247,8 +255,6 @@ class SharedChannel
     void advanceTo(TimeNs t);
     void reschedule();
     void onCompletionEvent();
-    /** Drop aborted entries off the heap top; true if a live one remains. */
-    bool dropStaleTop();
     /** Shift vtime_ (and all finish points) back toward zero. */
     void maybeRebase();
     /** Unconditional variant, used at capacity steps. */
@@ -258,22 +264,23 @@ class SharedChannel
     /** Virtual-time rate: capacity / total active weight. */
     double virtualRate() const;
     ClassState& classState(int cls);
-    /** Remove one transfer's weight from the aggregates. */
-    void dropWeight(const Transfer& t);
+    /**
+     * Retire the transfer in @p slot, whose heap entry is already
+     * gone: drop its weight from the aggregates and free the slot.
+     */
+    void release(std::uint32_t slot);
 
     EventQueue& queue_;
     Bandwidth capacity_;
-    std::unordered_map<TransferId, Transfer> active_;
+    /** Slot pool of in-flight transfers, recycled via free_head_. */
+    std::vector<Transfer> transfers_;
+    std::uint32_t free_head_ = kNoSlot;
     /**
-     * Min-heap on (v_end, id) via std::push_heap/pop_heap — a
-     * contiguous buffer so virtual-time rebasing can shift every
-     * pending finish point in one batch. Inline small-vector: a
-     * dimension rarely carries more than a handful of concurrent
-     * transfers, so rebase batches of <= 16 entries (the common
-     * case by far) touch only inline storage and the channel never
-     * heap-allocates for its pending set.
+     * Min-heap on (v_end, id) via std::push_heap/pop_heap, one entry
+     * per active transfer — a contiguous buffer so virtual-time
+     * rebasing can shift every pending finish point in one batch.
      */
-    SmallVector<FinishEntry, 16> finish_heap_;
+    std::vector<FinishEntry> finish_heap_;
     double vtime_ = 0.0; // cumulative unit-weight service, virtual bytes
     /** Sum of active weights; exact (integer-valued) when weights are 1. */
     double weight_sum_ = 0.0;
@@ -292,7 +299,7 @@ class SharedChannel
      * independently, so the (insertion) order of this list cannot
      * affect any accounted value.
      */
-    SmallVector<int, 8> busy_classes_;
+    std::vector<int> busy_classes_;
     /** onCompletionEvent's drain buffer, reused across events. */
     std::vector<std::pair<TransferId, Callback>> done_scratch_;
     TransferId next_id_ = 1;

@@ -206,6 +206,14 @@ CASES = {
         run("--topo 2D-SW_SW --iterations 4 --model DLRM --chunks 8")], False),
     "priority_chunks": ([
         run("--topo 2D-SW_SW --priority 4 --size 1e8 --chunks 8")], False),
+    # --- extreme magnitudes simulate instead of aborting ----------------
+    "single_extreme_size": ([run("--size 1e20 --topo 2D-SW_SW")], False),
+    "priority_extreme_ratio": ([run("--priority 1e12")], False),
+    "serve_extreme_size": ([
+        run("--serve --jobs 1",
+            "topo=2D-SW_SW size=1e8\n"
+            "topo=2D-SW_SW size=1e20\n"
+            "topo=2D-SW_SW size=2e8\n")], False),
     # --- flags the selected mode does not read --------------------------
     "rej_flag_mode": ([
         run("--exact --size 1e8"),
@@ -222,6 +230,9 @@ CASES = {
         run("--merge a.jsonl,b.jsonl --enforce"),
         run("--iterations 3 --jobs 2"),
     ], False),
+    "rej_cluster_threads": ([
+        run("--jobs 3 --jobs train:DLRM --iterations 2 --topo 2D-SW_SW")],
+        False),
     "rej_grid_topo": ([run("--grid 2D-SW_SW --topo 4D-Ring_SW_SW_SW")],
                       False),
     "rej_sweep_chunks": ([run("--sweep 8,16 --chunks 32")], False),

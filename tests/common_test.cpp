@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/random.hpp"
-#include "common/small_vector.hpp"
 #include "common/string_util.hpp"
 #include "common/units.hpp"
 
@@ -189,63 +188,6 @@ TEST(Logging, LevelFilters)
     EXPECT_EQ(Logger::level(), LogLevel::Error);
     logInfo("should be suppressed");
     Logger::setLevel(prev);
-}
-
-TEST(SmallVector, StaysInlineUpToCapacity)
-{
-    SmallVector<int, 4> v;
-    for (int i = 0; i < 4; ++i)
-        v.push_back(i);
-    EXPECT_TRUE(v.inlined());
-    EXPECT_EQ(v.size(), 4u);
-    v.pop_back();
-    v.clear();
-    EXPECT_TRUE(v.inlined());
-    EXPECT_TRUE(v.empty());
-}
-
-TEST(SmallVector, SpillsAndPreservesContents)
-{
-    SmallVector<int, 4> v;
-    for (int i = 0; i < 100; ++i)
-        v.push_back(i);
-    EXPECT_FALSE(v.inlined());
-    EXPECT_EQ(v.size(), 100u);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(v.front(), 0);
-    EXPECT_EQ(v.back(), 99);
-}
-
-TEST(SmallVector, PushBackOfOwnElementSurvivesGrowth)
-{
-    // push_back(v[0]) at exactly capacity must copy the element out
-    // before the growth frees the old buffer.
-    SmallVector<int, 4> v;
-    for (int i = 0; i < 8; ++i)
-        v.push_back(i + 1); // spilled, capacity 8, full
-    v.push_back(v.front()); // triggers heap-to-heap growth
-    EXPECT_EQ(v.back(), 1);
-    v.push_back(v[5]);
-    EXPECT_EQ(v.back(), 6);
-}
-
-TEST(SmallVector, WorksWithStdHeapAlgorithms)
-{
-    // The shared channels run std::push_heap/pop_heap over it.
-    SmallVector<double, 8> v;
-    for (int i = 0; i < 30; ++i) {
-        v.push_back(static_cast<double>((i * 37) % 23));
-        std::push_heap(v.begin(), v.end(), std::greater<double>{});
-    }
-    double prev = -1.0;
-    while (!v.empty()) {
-        std::pop_heap(v.begin(), v.end(), std::greater<double>{});
-        const double top = v.back();
-        v.pop_back();
-        EXPECT_GE(top, prev);
-        prev = top;
-    }
 }
 
 } // namespace

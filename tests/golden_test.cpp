@@ -243,6 +243,11 @@ TEST(Golden, HeadroomTieredSixteenUrgentLatency)
 }
 
 // ------------------------------------------------ admission batching
+//
+// Whole-runtime runs whose refills admit several latency-bound ops at
+// once: single-tier runs, where each refill admits a prefix of the
+// ready heap's pop order, and mixed-tier runs, where the bypass
+// streak and tier precedence reshape the picks.
 
 /** Small hybrid workload with MP + DP traffic (fig12-shaped). */
 workload::ModelGraph
@@ -293,7 +298,8 @@ TEST(Golden, BatchedAdmissionRuns)
 TEST(Golden, TwoTierAdmissionCompletions)
 {
     // Alternating urgent/bulk collectives under tiered(4): the mixed
-    // tiers move admission onto the one-op-at-a-time path mid-run.
+    // tiers make refills weigh tier precedence and the bypass streak
+    // mid-run.
     sim::EventQueue queue;
     CommRuntime comm(queue, presets::make2DSwSw(), priorityConfig(4.0));
     for (int i = 0; i < 4; ++i)
@@ -318,8 +324,8 @@ TEST(Golden, EnforcedOrderConvergedRun)
 
 // ------------------------------------------------ engine slow paths
 //
-// Single-engine scenarios for the selection paths the batched refill
-// skips: the anti-starvation pick of the oldest ready op, parking
+// Single-engine scenarios for the rarer selection cases of the refill
+// loop: the anti-starvation pick of the oldest ready op, parking
 // under a replaced enforced order, and backoff requeues into a deep
 // SCF ready set. The engine's own fingerprint (every start, finish
 // and failure with its timestamp) is the pin.
@@ -353,6 +359,8 @@ TEST(Golden, BypassBoundStartOrder)
     // engines, serial and latency-parallel, with a tight bypass bound:
     // the oldest ready op is forced through again and again. Pins the
     // start order, the streak seen at every start and the final one.
+    // The streak a start listener sees is the one after that start's
+    // own update (each start sets it before startOp runs).
     std::vector<std::string> got;
     for (const int max_parallel : {1, 64}) {
         sim::EventQueue q;
@@ -394,7 +402,7 @@ TEST(Golden, BypassBoundStartOrder)
         got.push_back(std::to_string(engine.bypassStreak()));
     }
     EXPECT_EQ(got, (std::vector<std::string>{"0x4bf882a418420a20", "0",
-                                             "0xab25a67dfa025ec9",
+                                             "0x4ebfc741d7082aa7",
                                              "0"}));
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -169,10 +171,11 @@ TEST(SharedChannel, ManyStaggeredTransfersConserveBytes)
 
 TEST(SharedChannel, ForcedDrainConservesBytesExactly)
 {
-    // Two transfers whose sizes differ by a sub-sliver amount: after
-    // the first drains, the second's remainder moves in under
-    // kTimeSliver and takes the forced-drain path. Conservation must
-    // hold exactly — the residual is credited once, never twice.
+    // Two transfers whose sizes differ by a sub-picosecond amount:
+    // after the first drains, the second's remainder would move in
+    // less time than the clock can resolve, so its completion event
+    // drains it as the heap top. Conservation must hold exactly — the
+    // residual is credited once, never twice.
     EventQueue q;
     SharedChannel ch(q, 100.0);
     int done = 0;
@@ -467,6 +470,104 @@ TEST(SharedChannel, FailActiveReportsRemaindersInBeginOrder)
     // The partial progress stays accounted.
     EXPECT_NEAR(ch.progressedBytes(), 2.0e6, 1.0);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(SharedChannel, AbortThenFailActiveFailsOnlyLiveTransfers)
+{
+    // Abort a transfer from the middle of the finish heap, then flap
+    // the link: only the four live transfers fail, in begin order, and
+    // the bytes begun are all accounted — progressed, failed
+    // remainders and the aborted remainder.
+    EventQueue q;
+    SharedChannel ch(q, 100.0);
+    std::vector<std::pair<int, Bytes>> failed;
+    std::vector<SharedChannel::TransferId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(ch.begin(
+            1.0e6 * (5 - i), 1.0, [] { ADD_FAILURE() << "completed"; }, 0,
+            [&failed, i](Bytes r) { failed.emplace_back(i, r); }));
+    // 10 us at 20 GB/s each: 0.2 MB moved per transfer.
+    q.schedule(1.0e4, [&] { ch.abort(ids[2]); });
+    // Then 10 us at 25 GB/s each: 0.45 MB moved per survivor.
+    q.schedule(2.0e4, [&] { EXPECT_EQ(ch.failActive(), 4u); });
+    q.run();
+    EXPECT_EQ(ch.activeCount(), 0u);
+    EXPECT_TRUE(q.empty());
+    ASSERT_EQ(failed.size(), 4u);
+    const int expect_ids[] = {0, 1, 3, 4};
+    Bytes remaining = 0.0;
+    for (std::size_t k = 0; k < 4; ++k) {
+        const int i = expect_ids[k];
+        EXPECT_EQ(failed[k].first, i);
+        EXPECT_NEAR(failed[k].second, 1.0e6 * (5 - i) - 4.5e5, 1e-3);
+        remaining += failed[k].second;
+    }
+    ch.sync();
+    EXPECT_NEAR(ch.progressedBytes(), 2.0e6, 1e-3);
+    const Bytes aborted_remainder = 3.0e6 - 2.0e5;
+    EXPECT_NEAR(ch.progressedBytes() + remaining + aborted_remainder,
+                1.5e7, 1e-3);
+}
+
+TEST(SharedChannel, ExtremeSizeTransferCompletesAndConservesBytes)
+{
+    // A 1e20-byte collective in 64 chunks: at 1.6e18 bytes the
+    // virtual clock's ulp (256 bytes) dwarfs the drain epsilon, so the
+    // completion event can find the clock short of the finish point.
+    // It must still drain the transfer, with every byte accounted.
+    constexpr Bytes kBytes = 1.0e20 / 64;
+    for (const Bandwidth bw : {37.5, 100.0, 250.0, 1000.0}) {
+        for (const TimeNs t0 : {0.0, 500.0, 700.0, 1234.5}) {
+            EventQueue q;
+            SharedChannel ch(q, bw);
+            int done = 0;
+            q.schedule(t0, [&] { ch.begin(kBytes, [&] { ++done; }); });
+            q.run();
+            ch.sync();
+            EXPECT_EQ(done, 1) << bw << " " << t0;
+            EXPECT_EQ(ch.activeCount(), 0u);
+            EXPECT_DOUBLE_EQ(ch.progressedBytes(), kBytes) << bw;
+            EXPECT_DOUBLE_EQ(ch.classProgressedBytes(0), kBytes) << bw;
+            EXPECT_NEAR(q.now(), t0 + kBytes / bw, 1e-12 * kBytes / bw)
+                << bw << " " << t0;
+        }
+    }
+}
+
+TEST(SharedChannel, ExtremeWeightRatiosDrainWithFiniteTimes)
+{
+    // Weights 1, 1e12 and 1e24 (the tier ladder of a 1e12 priority
+    // ratio): each heavy transfer that leaves cancels most of the
+    // weight sum, and the rounding error left behind can outweigh the
+    // survivors (a negative sum gave a negative ETA). Completion times
+    // must stay finite and ordered, and no later than a channel that
+    // never idles would need for every byte begun. (They come earlier:
+    // the drain epsilon is in virtual bytes, so heavy transfers drain
+    // up to weight x epsilon real bytes early.)
+    EventQueue q;
+    SharedChannel ch(q, 100.0);
+    std::vector<TimeNs> times;
+    auto record = [&] { times.push_back(q.now()); };
+    Bytes begun = 0.0;
+    const double weights[] = {1.0, 1.0e12, 1.0e24};
+    for (int i = 0; i < 12; ++i) {
+        const Bytes bytes = 2.0e6 * (1 + i % 5);
+        const int cls = i % 3;
+        begun += bytes;
+        q.schedule(3.0e3 * i, [&ch, &record, bytes, cls, &weights] {
+            ch.begin(bytes, weights[cls], record, cls);
+        });
+    }
+    q.run();
+    ASSERT_EQ(times.size(), 12u);
+    for (std::size_t k = 0; k < times.size(); ++k) {
+        EXPECT_TRUE(std::isfinite(times[k])) << k;
+        if (k > 0) {
+            EXPECT_GE(times[k], times[k - 1]) << k;
+        }
+    }
+    EXPECT_LE(times.back(), begun / 100.0 * (1.0 + 1e-12));
+    EXPECT_EQ(ch.activeCount(), 0u);
 }
 
 } // namespace
